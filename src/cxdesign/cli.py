@@ -321,8 +321,24 @@ _HANDLERS = {
 }
 
 
+def _join_x0(argv):
+    """Rewrite "--x0 VALUE" as "--x0=VALUE".
+
+    argparse takes a separate value that starts with "-" for an option, so
+    a pole like "-0.3+1.2i,0.5-0.2i" is only read in the joined form.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--x0":
+            out[-1] = f"--x0={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None):
     parser = _build_parser()
+    argv = _join_x0(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,6 +11,12 @@ quasi-random start net plus every point's far pole, and only ever accepts
 steps that improve the exact objective, so the returned value is a certified
 lower bound on the true covering radius. The reported uncertainty is the
 covering radius of the start net itself, bounded by pi * seeds**(-1/m).
+
+Memory stays bounded in N. Seeding draws the net _CHUNK rows at a time and
+ranks each chunk by its nearest-point inner products taken in row blocks of
+at most _BLOCK_BYTES, so it needs O(_CHUNK * dim + _BLOCK_BYTES) whatever
+the point count. Refinement works on the (N + _TOP_K) x N inner products of
+its starts, O((N + 48) * N).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ _SEED_FACTOR = 4096
 _SEED_CAP = 2**22
 _CHUNK = 2**18
 _TOP_K = 48
+_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -109,13 +116,29 @@ def _exact_min_dist(Y, pts):
 
 
 def _net_on_sphere(n, dim, engine):
-    raw = engine.random(n)
+    g = engine.random(n)
     # inverse normal CDF turns the digital net into a Gaussian net; rows
-    # then normalize to the sphere
-    g = ndtri(np.clip(raw, 1e-15, 1.0 - 1e-15))
+    # then normalize to the sphere (all in place: one n x dim array)
+    np.clip(g, 1e-15, 1.0 - 1e-15, out=g)
+    ndtri(g, out=g)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return g / norms
+    g /= norms
+    return g
+
+
+def _max_inner(Y, pts):
+    """Row maxima of Y @ pts.T, built in row blocks of at most _BLOCK_BYTES."""
+    n = Y.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * pts.shape[0]))
+    ptsT = np.ascontiguousarray(pts.T)
+    block = np.empty((min(rows, n), pts.shape[0]))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        prod = np.matmul(Y[lo:hi], ptsT, out=block[: hi - lo])
+        np.max(prod, axis=1, out=out[lo:hi])
+    return out
 
 
 def _top_starts(pts, seeds, seed):
@@ -127,7 +150,9 @@ def _top_starts(pts, seeds, seed):
     while remaining > 0:
         take = min(_CHUNK, remaining)
         Y = _net_on_sphere(take, dim, engine)
-        F = _exact_min_dist(Y, pts)
+        # clip is monotone, so clipping the row maxima equals the maximum of
+        # the clipped row; F is the exact min-distance of every net point
+        F = np.arccos(np.clip(_max_inner(Y, pts), -1.0, 1.0))
         vals = np.concatenate([best_vals, F])
         cand = np.vstack([best_pts, Y])
         order = np.argsort(vals)[::-1][:_TOP_K]
@@ -186,6 +211,24 @@ def _refine(Y, pts, iters):
     return F
 
 
+def _candidates(pts, opts):
+    """Refined ascent values from the best net points and every far pole.
+
+    Returns (values, seeds): one exact min-distance per ascent start, in
+    start order, and the net size actually drawn.
+    """
+    if opts.seeds is None:
+        seeds = _SEED_FACTOR * pts.shape[0]
+    else:
+        seeds = int(opts.seeds)
+        if seeds < 1:
+            raise ValueError("seeds must be positive")
+    seeds = min(_SEED_CAP, 2 ** int(np.ceil(np.log2(seeds))))
+    starts = _top_starts(pts, seeds, opts.seed)
+    Y = np.vstack([starts, -pts])
+    return _refine(Y, pts, opts.refine_iters), seeds
+
+
 def covering_estimate(X, opts=None):
     """Estimate the covering radius; returns (value, uncertainty).
 
@@ -194,22 +237,9 @@ def covering_estimate(X, opts=None):
     start net, pi * seeds**(-1/m); the refinement typically does far better,
     but only the net density is guaranteed.
     """
-    if opts is None:
-        opts = CoveringOptions()
     pts = _real_matrix(X)
-    n, dim = pts.shape
-    m = dim - 1
-    if opts.seeds is not None:
-        seeds = int(opts.seeds)
-        if seeds < 1:
-            raise ValueError("seeds must be positive")
-    else:
-        seeds = _SEED_FACTOR * n
-    seeds = min(_SEED_CAP, 2 ** int(np.ceil(np.log2(seeds))))
-    starts = _top_starts(pts, seeds, opts.seed)
-    far_poles = -pts
-    Y = np.vstack([starts, far_poles])
-    F = _refine(Y.copy(), pts, opts.refine_iters)
+    F, seeds = _candidates(pts, opts or CoveringOptions())
+    m = pts.shape[1] - 1
     uncertainty = np.pi * seeds ** (-1.0 / m)
     return float(np.max(F)), float(uncertainty)
 
@@ -299,15 +329,7 @@ def write_covering_csv(path, X, opts=None):
     The first row is the covering estimate itself; the spread of the rest
     shows how many distinct basins the search explored.
     """
-    if opts is None:
-        opts = CoveringOptions()
-    pts = _real_matrix(X)
-    n = pts.shape[0]
-    seeds = opts.seeds if opts.seeds is not None else _SEED_FACTOR * n
-    seeds = min(_SEED_CAP, 2 ** int(np.ceil(np.log2(max(int(seeds), 1)))))
-    starts = _top_starts(pts, seeds, opts.seed)
-    Y = np.vstack([starts, -pts])
-    F = _refine(Y.copy(), pts, opts.refine_iters)
+    F, _ = _candidates(_real_matrix(X), opts or CoveringOptions())
     F = np.sort(F)[::-1]
     _write_rows(
         path,

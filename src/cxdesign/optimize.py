@@ -22,15 +22,15 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 from scipy.special import betaincinv
 
-from .criteria import per_degree_sums, variational_value
-from .metrics import CoveringOptions, mesh_ratio
-from .orthopoly import ZonalKernel
+from .criteria import per_degree_sums
+from .metrics import CoveringOptions, MetricsReport, mesh_ratio
+from .orthopoly import ZonalKernel, dim_harm
 from .sphere import RealPointSet, load_real_pointset, point_to_angles
 
 __all__ = [
@@ -90,12 +90,24 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """One restart's outcome.
+
+    final_V is the variational criterion of the returned points, assembled
+    from the per-degree sums as sum_ell Z(m, ell) max(W_ell, 0) / N^2. Each
+    W_ell is N^2 times a squared norm, so clamping only removes rounding
+    noise and final_V is never negative. per_degree_max is max_ell
+    W_ell / N^2, the quantity the verdict compares against the tolerance.
+    metrics is the separation / covering / mesh-ratio report of the points;
+    mesh_ratio repeats its ratio.
+    """
+
     points: RealPointSet
     final_V: float
     per_degree_max: float
     iterations: int
     converged: bool
     mesh_ratio: float
+    metrics: MetricsReport
 
 
 def _generator_count(cfg):
@@ -358,14 +370,24 @@ def _full_pointset(cfg, G):
     return RealPointSet(points=G)
 
 
-def _measure(cfg, X):
+def _result(cfg, X, W, iterations):
+    """Verdict, V and metrics of X, given its per-degree sums W."""
+    nsq = X.npoints**2
+    defect = float(np.max(W)) / nsq
+    V = fsum(
+        dim_harm(cfg.m, ell) * max(float(w), 0.0)
+        for ell, w in enumerate(W, start=1)
+    ) / nsq
     report = mesh_ratio(X, CoveringOptions(seed=cfg.seed))
-    return report
-
-
-def _verdict(cfg, X):
-    W = per_degree_sums(X, cfg.t)
-    return float(np.max(W)) / X.npoints**2
+    return SolveResult(
+        points=X,
+        final_V=V,
+        per_degree_max=defect,
+        iterations=iterations,
+        converged=defect <= cfg.feasibility_tol,
+        mesh_ratio=report.mesh_ratio,
+        metrics=report,
+    )
 
 
 def solve_feasibility(X0, cfg):
@@ -373,9 +395,10 @@ def solve_feasibility(X0, cfg):
 
     The returned verdict compares the per-degree sums of the final points
     against cfg.feasibility_tol; an already-feasible X0 returns immediately.
-    Accepted iterates never increase V (asserted), points stay exactly
-    unit-norm through the angle parametrization, and symmetric runs keep
-    antipodal pairs exact by construction.
+    Accepted iterates never increase V and points stay exactly unit-norm
+    through the angle parametrization (both checked; a violation raises
+    RuntimeError), and symmetric runs keep antipodal pairs exact by
+    construction.
     """
     if not isinstance(X0, RealPointSet):
         raise TypeError("X0 must be a RealPointSet")
@@ -384,16 +407,9 @@ def solve_feasibility(X0, cfg):
     if cfg.symmetric and not X0.symmetric:
         raise ValueError("symmetric config needs a symmetric starting set")
 
-    defect0 = _verdict(cfg, X0)
-    if defect0 <= cfg.feasibility_tol:
-        return SolveResult(
-            points=X0,
-            final_V=variational_value(X0, cfg.t),
-            per_degree_max=defect0,
-            iterations=0,
-            converged=True,
-            mesh_ratio=_measure(cfg, X0).mesh_ratio,
-        )
+    W0 = per_degree_sums(X0, cfg.t)
+    if float(np.max(W0)) / cfg.N**2 <= cfg.feasibility_tol:
+        return _result(cfg, X0, W0, iterations=0)
 
     n = _generator_count(cfg)
     G = _canonicalize(np.array(X0.points[:n]))
@@ -418,8 +434,10 @@ def solve_feasibility(X0, cfg):
             V = cache.get(theta.tobytes())
             if V is None:
                 V = fun(theta)[0]
-            if history:
-                assert V <= history[-1] + 1e-15 * max(1.0, abs(history[-1]))
+            if history and V > history[-1] + 1e-15 * max(1.0, abs(history[-1])):
+                raise RuntimeError(
+                    f"descent increased V from {history[-1]:.3e} to {V:.3e}"
+                )
             history.append(V)
 
         res = minimize(
@@ -450,17 +468,11 @@ def solve_feasibility(X0, cfg):
     phi = phi0.copy()
     phi.ravel()[np.flatnonzero(mask.ravel())] = theta_final
     G_final = _points_from_angles(phi)
-    assert np.max(np.abs(np.linalg.norm(G_final, axis=1) - 1.0)) < 1e-14
+    drift = float(np.max(np.abs(np.linalg.norm(G_final, axis=1) - 1.0)))
+    if not drift < 1e-14:
+        raise RuntimeError(f"final points are off the unit sphere by {drift:.3e}")
     X = _full_pointset(cfg, G_final)
-    defect = _verdict(cfg, X)
-    return SolveResult(
-        points=X,
-        final_V=variational_value(X, cfg.t),
-        per_degree_max=defect,
-        iterations=iterations,
-        converged=defect <= cfg.feasibility_tol,
-        mesh_ratio=_measure(cfg, X).mesh_ratio,
-    )
+    return _result(cfg, X, per_degree_sums(X, cfg.t), iterations)
 
 
 def _run_restart(args):
@@ -495,10 +507,10 @@ def find_design(cfg, log_csv=None, threads=1):
                  "covering", "mesh_ratio"]
             )
             for r, res in outcomes:
-                rep = _measure(cfg, res.points)
                 writer.writerow(
                     [r, res.iterations, f"{res.final_V:.16e}",
-                     f"{rep.separation:.16e}", f"{rep.covering:.16e}",
+                     f"{res.metrics.separation:.16e}",
+                     f"{res.metrics.covering:.16e}",
                      f"{res.mesh_ratio:.16e}"]
                 )
 

@@ -223,6 +223,17 @@ def test_integrate_demo(tmp_path, capsys):
     assert "0.25" in out
 
 
+def test_integrate_pole_with_negative_leading_part(tmp_path, capsys):
+    sdf = tmp_path / "tight.sdf"
+    assert run(
+        ["tight", "--complex-dim", "2", "--degree", "3", "--out", str(sdf)]
+    ) == 0
+    assert run(["integrate", str(sdf), "--x0", "-0.3+1.2i,0.5-0.2i"]) == 0
+    assert run(["integrate", str(sdf), "--x0=-0.3+1.2i,0.5-0.2i"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("x0=-0.3+1.2i,0.5-0.2i") == 2
+
+
 def test_integrate_input_validation(tmp_path, capsys):
     # wrong complex dimension
     d3 = tmp_path / "d3.sdf"

@@ -5,9 +5,13 @@ of the tight families, and the packing bound covering >= separation / 2.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
+
+from cxdesign import metrics
 
 from cxdesign import (
     CoveringOptions,
@@ -110,6 +114,72 @@ def test_covering_deterministic():
     a = covering_estimate(X, opts)
     b = covering_estimate(X, opts)
     assert a == b
+
+
+def _dense_top_starts(pts, seeds, seed):
+    # reference ranking: the full chunk x N Gram of every net chunk
+    dim = pts.shape[1]
+    engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    vals = np.empty(0)
+    cand = np.empty((0, dim))
+    for lo in range(0, seeds, metrics._CHUNK):
+        Y = metrics._net_on_sphere(min(metrics._CHUNK, seeds - lo), dim, engine)
+        F = np.arccos(np.max(np.clip(Y @ pts.T, -1.0, 1.0), axis=1))
+        vals = np.concatenate([vals, F])
+        cand = np.vstack([cand, Y])
+    order = np.argsort(vals)[::-1][: metrics._TOP_K]
+    return cand[order], vals[order]
+
+
+@pytest.mark.parametrize("block_bytes", [2**24, 8 * 40 * 100])
+def test_blocked_seed_ranking_matches_dense(monkeypatch, block_bytes):
+    # 2**24 bytes hold the whole chunk in one block; 8 * 40 * 100 bytes give
+    # 100-row blocks, so the chunks below span many blocks with a ragged end
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(metrics, "_CHUNK", 2**11)
+    rng = np.random.default_rng(409)
+    pts = random_unit_points(rng, 40, 4)
+    seeds = 2**12 + 300
+    starts = metrics._top_starts(pts, seeds, seed=5)
+    ref_pts, ref_vals = _dense_top_starts(pts, seeds, seed=5)
+    assert np.array_equal(starts, ref_pts)
+    blocked = np.arccos(np.clip(metrics._max_inner(starts, pts), -1.0, 1.0))
+    assert np.max(np.abs(blocked - ref_vals)) <= 1e-15
+
+
+def test_covering_memory_is_bounded():
+    # the net is ranked in blocks, so the peak does not hold a chunk x N
+    # Gram (2**18 x 1000 doubles, 2 GB)
+    rng = np.random.default_rng(410)
+    X = RealPointSet(points=random_unit_points(rng, 1000, 4))
+    opts = CoveringOptions(seeds=2**18, refine_iters=2)
+    tracemalloc.start()
+    try:
+        covering_estimate(X, opts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_zero_seeds_rejected(tmp_path):
+    X = _cross_polytope(4)
+    with pytest.raises(ValueError, match="seeds"):
+        covering_estimate(X, CoveringOptions(seeds=0))
+    with pytest.raises(ValueError, match="seeds"):
+        write_covering_csv(tmp_path / "cov.csv", X, CoveringOptions(seeds=0))
+
+
+def test_covering_csv_leads_with_the_estimate(tmp_path):
+    rng = np.random.default_rng(411)
+    X = RealPointSet(points=random_unit_points(rng, 10, 4))
+    opts = CoveringOptions(seeds=2**10, refine_iters=10, seed=2)
+    path = tmp_path / "cov.csv"
+    write_covering_csv(path, X, opts)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    value, _ = covering_estimate(X, opts)
+    assert float(rows[1][1]) == value
 
 
 def test_mesh_ratio_report():

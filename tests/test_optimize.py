@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cxdesign import criteria, metrics, optimize
 from cxdesign import (
     OptimizerConfig,
     RealPointSet,
@@ -227,6 +228,60 @@ def test_find_design_reports_failure_when_infeasible():
     result = find_design(cfg)
     assert not result.converged
     assert result.final_V > 1e-6
+
+
+def test_find_design_log_csv_measures_each_restart_once(tmp_path, monkeypatch):
+    calls = []
+    original = metrics.covering_estimate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "covering_estimate", counting)
+    cfg = OptimizerConfig(t=2, m=3, N=6, symmetric=True, restarts=2, seed=9)
+    result = find_design(cfg, log_csv=str(tmp_path / "log.csv"))
+    assert len(calls) == 2
+    with open(tmp_path / "log.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    best = [r for r in rows[1:] if float(r[5]) == result.mesh_ratio]
+    assert best
+    assert float(best[0][4]) == result.metrics.covering
+    assert float(best[0][3]) == result.metrics.separation
+
+
+def test_final_V_is_nonnegative_and_matches_the_kernel_sum():
+    cfg = OptimizerConfig(t=5, m=3, N=24, symmetric=True, restarts=1, seed=3)
+    result = solve_feasibility(initial_configuration(cfg), cfg)
+    assert result.converged
+    assert result.final_V >= 0.0
+    # off a design, the per-degree form is the kernel sum up to rounding
+    rng = np.random.default_rng(505)
+    X = RealPointSet(points=random_unit_points(rng, 60, 4))
+    loose = OptimizerConfig(t=4, m=3, N=60, feasibility_tol=1.0)
+    early = solve_feasibility(X, loose)
+    assert early.iterations == 0
+    assert early.final_V == pytest.approx(
+        criteria.variational_value(X, 4), rel=1e-12, abs=1e-15
+    )
+
+
+def test_unit_norm_check_survives_optimized_mode(monkeypatch):
+    original = optimize._points_from_angles
+
+    def off_sphere(phi):
+        X = original(phi)
+        X[0] *= 1.0 + 1e-9
+        return X
+
+    monkeypatch.setattr(optimize, "_points_from_angles", off_sphere)
+    cfg = OptimizerConfig(
+        t=2, m=3, N=6, symmetric=True, seed=9, max_iterations=5
+    )
+    rng = np.random.default_rng(506)
+    X0 = symmetrize(random_unit_points(rng, 3, 4))
+    with pytest.raises(RuntimeError, match="unit sphere"):
+        solve_feasibility(X0, cfg)
 
 
 def test_solve_feasibility_input_validation():
