@@ -65,10 +65,10 @@ def map_design(X, t, tol=1e-10):
         raise TypeError("expected a RealPointSet")
     if (X.m + 1) % 2:
         raise ValueError("the real sphere dimension must be odd to fold")
-    real_report = is_spherical_design(X, t)
     nodes = ComplexPointSet(points=real_to_complex(X.points))
     report = verify_triangular_design(nodes, t, tol)
     if not report.passed:
+        real_report = is_spherical_design(X, t)
         raise ValueError(
             f"not a degree-{t} rule: worst monomial pair {report.worst_pair} "
             f"errs {report.max_error:.3e} (tol {tol:.1e}); real per-degree "

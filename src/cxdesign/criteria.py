@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, fsum
+from math import fsum, prod
 
 import numpy as np
 
-from .orthopoly import ZonalKernel, legendre_normalized_all
+from .orthopoly import ZonalKernel, dim_harm, legendre_normalized_all
 from .sphere import ComplexPointSet, RealPointSet
 
 __all__ = [
@@ -25,6 +25,8 @@ __all__ = [
     "per_degree_sums",
     "is_spherical_design",
     "complex_monomial_integral",
+    "real_sphere_moment",
+    "monomial_exponents",
     "monomial_pairs",
     "verify_triangular_design",
 ]
@@ -37,6 +39,9 @@ class DesignReport:
     per_degree holds the raw sums W_ell for ell = 1..t; each is a sum of
     squares of harmonic averages, so negative values can only come from
     rounding. The set is a t-design when every W_ell / N^2 is at tolerance.
+    V is the variational criterion assembled from them as
+    sum_ell Z(m, ell) max(W_ell, 0) / N^2: clamping removes only rounding
+    noise, so V is never negative.
     """
 
     t: int
@@ -70,8 +75,6 @@ class MonomialReport:
 def _require_points(X):
     if not isinstance(X, RealPointSet):
         raise TypeError("expected a RealPointSet")
-    if X.npoints == 0:
-        raise ValueError("point set is empty")
 
 
 def _pair_sum(values):
@@ -138,8 +141,11 @@ def is_spherical_design(X, t, tol=1e-12):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     W = per_degree_sums(X, t)
-    V = variational_value(X, t)
     nsq = X.npoints**2
+    V = fsum(
+        dim_harm(X.m, ell) * max(float(w), 0.0)
+        for ell, w in enumerate(W, start=1)
+    ) / nsq
     return DesignReport(
         t=t,
         N=X.npoints,
@@ -150,12 +156,37 @@ def is_spherical_design(X, t, tol=1e-12):
     )
 
 
+def _rising(x, n):
+    return prod((x + i for i in range(n)), start=Fraction(1))
+
+
+def _dirichlet_moment(kappa, a):
+    """E[prod_j w_j^a_j] for w ~ Dirichlet(kappa, ..., kappa), exactly.
+
+    prod_j (kappa)_{a_j} / (len(a) kappa)_{|a|} with rising factorials, as a
+    Fraction. The squared coordinates of a uniform point on the unit sphere
+    in R^dim follow this law with kappa = 1/2, the squared moduli of one in
+    C^d with kappa = 1.
+    """
+    kappa = Fraction(kappa)
+    num = prod((_rising(kappa, aj) for aj in a), start=Fraction(1))
+    return num / _rising(len(a) * kappa, sum(a))
+
+
+def real_sphere_moment(dim, gamma):
+    """Exact uniform-measure moment of x^gamma on the unit sphere in R^dim:
+    zero if any exponent is odd, else the Dirichlet(1/2) moment of gamma/2."""
+    if any(g % 2 for g in gamma):
+        return 0.0
+    return float(_dirichlet_moment(Fraction(1, 2), [g // 2 for g in gamma]))
+
+
 def complex_monomial_integral(d, alpha, beta):
     """Exact integral of z^alpha conj(z)^beta over the complex sphere in C^d.
 
     Zero unless alpha == beta; otherwise (d-1)! prod(alpha_j!) divided by
-    (d-1+|alpha|)!, from the Dirichlet law of the squared moduli. Computed
-    in exact rational arithmetic before conversion.
+    (d-1+|alpha|)!, the Dirichlet(1) moment of alpha. Computed in exact
+    rational arithmetic before conversion.
     """
     alpha = tuple(int(a) for a in alpha)
     beta = tuple(int(b) for b in beta)
@@ -165,10 +196,7 @@ def complex_monomial_integral(d, alpha, beta):
         raise ValueError("multi-index entries must be nonnegative")
     if alpha != beta:
         return complex(0.0)
-    num = factorial(d - 1)
-    for a in alpha:
-        num *= factorial(a)
-    return complex(float(Fraction(num, factorial(d - 1 + sum(alpha)))))
+    return complex(float(_dirichlet_moment(1, alpha)))
 
 
 def _compositions(total, slots):
@@ -181,15 +209,20 @@ def _compositions(total, slots):
             yield (head,) + rest
 
 
+def monomial_exponents(slots, t):
+    """All exponent vectors of length `slots` with total degree <= t, graded:
+    degree 0 first, lexicographically decreasing within each degree."""
+    return [c for total in range(t + 1) for c in _compositions(total, slots)]
+
+
 def monomial_pairs(d, t):
     """All exponent pairs (alpha, beta) with |alpha| + |beta| <= t.
 
     Enumerated in graded lexicographic order of the concatenated exponent
     vector, so sweeps are deterministic and low degrees come first.
     """
-    for total in range(t + 1):
-        for combined in _compositions(total, 2 * d):
-            yield combined[:d], combined[d:]
+    for combined in monomial_exponents(2 * d, t):
+        yield combined[:d], combined[d:]
 
 
 def verify_triangular_design(Z, t, tol=1e-10, mode="full"):

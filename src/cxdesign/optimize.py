@@ -21,17 +21,21 @@ import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, fsum
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
 from scipy.special import betaincinv
 
-from .criteria import per_degree_sums
+from .criteria import is_spherical_design, monomial_exponents, real_sphere_moment
 from .metrics import CoveringOptions, MetricsReport, mesh_ratio
-from .orthopoly import ZonalKernel, dim_harm
-from .sphere import RealPointSet, load_real_pointset, point_to_angles
+from .orthopoly import ZonalKernel, real_design_lower_bound
+from .sphere import (
+    RealPointSet,
+    _angles_to_points,
+    load_real_pointset,
+    point_to_angles,
+    symmetrize,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -39,18 +43,14 @@ __all__ = [
     "initial_configuration",
     "solve_feasibility",
     "find_design",
-    "real_design_lower_bound",
 ]
 
 _INIT_STRATEGIES = ("random_uniform", "spiral_like", "file")
-
-
-def real_design_lower_bound(m, t):
-    """Smallest N a real t-design on S^m can possibly have."""
-    k = t // 2
-    if t % 2:
-        return 2 * comb(m + k, m)
-    return comb(m + k, m) + comb(m + k - 1, m)
+# Byte budget per row block of the polish's (dim, rows, n) monomial tables,
+# so its memory beyond the Jacobian stays flat in the row count (24615 rows
+# at symmetric t = 31 on S^3). At t = 13, N = 308 a Jacobian took 27 ms at
+# 13 MB peak this way, 46 ms at 37 MB as one block.
+_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,9 @@ class OptimizerConfig:
 class SolveResult:
     """One restart's outcome.
 
-    final_V is the variational criterion of the returned points, assembled
-    from the per-degree sums as sum_ell Z(m, ell) max(W_ell, 0) / N^2. Each
-    W_ell is N^2 times a squared norm, so clamping only removes rounding
-    noise and final_V is never negative. per_degree_max is max_ell
-    W_ell / N^2, the quantity the verdict compares against the tolerance.
+    final_V and per_degree_max are the V and max_defect of the points'
+    DesignReport at cfg.feasibility_tol, and converged is its verdict, so
+    final_V is never negative.
     metrics is the separation / covering / mesh-ratio report of the points;
     mesh_ratio repeats its ratio.
     """
@@ -156,7 +154,7 @@ def initial_configuration(cfg, restart=0):
         idx = np.arange(1, n + 1)[:, None]
         U = (idx * gammas[None, :] + shift[None, :]) % 1.0
         phi = _angles_from_unit_cube(U)
-        G = _points_from_angles(phi)
+        G = _angles_to_points(phi)
     else:
         X, _ = load_real_pointset(cfg.init_file)
         if X.m != cfg.m:
@@ -174,23 +172,7 @@ def initial_configuration(cfg, restart=0):
             if X.npoints != cfg.N:
                 raise ValueError("init file size does not match N")
             G = np.array(X.points)
-    if cfg.symmetric:
-        return RealPointSet(points=np.vstack([G, -G]), symmetric=True)
-    return RealPointSet(points=G)
-
-
-def _points_from_angles(phi):
-    """Vectorized angle-to-point map for an (n, m) array of angles."""
-    n, m = phi.shape
-    S = np.sin(phi)
-    C = np.cos(phi)
-    P = np.cumprod(S, axis=1)
-    X = np.empty((n, m + 1))
-    X[:, 0] = C[:, 0]
-    if m > 1:
-        X[:, 1:m] = C[:, 1:] * P[:, : m - 1]
-    X[:, m] = P[:, m - 1]
-    return X
+    return _full_pointset(cfg, G)
 
 
 def _angle_gradient(phi, gX):
@@ -199,21 +181,21 @@ def _angle_gradient(phi, gX):
     Division-free backward recursion: with A_k = g_k cos(phi_k) (A_m = g_m)
     and B_j = A_{j+1} + sin(phi_{j+1}) B_{j+1}, the angle partial is
     dV/dphi_j = prefix_{j-1} * (cos(phi_j) B_j - sin(phi_j) g_j).
+    phi is (n, m); gX is (..., n, m+1) with any leading batch axes, and each
+    batch entry gets the same arithmetic as a call of its own.
     """
     n, m = phi.shape
     S = np.sin(phi)
     C = np.cos(phi)
-    A = np.empty((n, m + 1))
-    A[:, :m] = gX[:, :m] * C
-    A[:, m] = gX[:, m]
-    B = np.empty((n, m))
-    B[:, m - 1] = A[:, m]
+    A = gX[..., :m] * C
+    B = np.empty(gX.shape[:-1] + (m,))
+    B[..., m - 1] = gX[..., m]
     for j in range(m - 2, -1, -1):
-        B[:, j] = A[:, j + 1] + S[:, j + 1] * B[:, j + 1]
+        B[..., j] = A[..., j + 1] + S[:, j + 1] * B[..., j + 1]
     prefix = np.ones((n, m))
     if m > 1:
         prefix[:, 1:] = np.cumprod(S[:, : m - 1], axis=1)
-    return prefix * (C * B - S * gX[:, :m])
+    return prefix * (C * B - S * gX[..., :m])
 
 
 def _free_mask(n, m):
@@ -242,16 +224,15 @@ def _canonicalize(G):
     return W
 
 
-def _objective_factory(cfg, phi0, mask):
+def _objective_factory(cfg, phi0, flat_idx):
     n, m = phi0.shape
     kernel = ZonalKernel.create(cfg.t, cfg.m, symmetric_variant=cfg.symmetric)
     base = phi0.copy()
-    flat_idx = np.flatnonzero(mask.ravel())
 
     def fun(theta):
         phi = base.copy()
         phi.ravel()[flat_idx] = theta
-        X = _points_from_angles(phi)
+        X = _angles_to_points(phi)
         U = np.clip(X @ X.T, -1.0, 1.0)
         vals, ders = kernel(U)
         V = float(np.sum(vals)) / n**2
@@ -262,38 +243,7 @@ def _objective_factory(cfg, phi0, mask):
     return fun
 
 
-def _sphere_moment(dim, gamma):
-    """Exact uniform-measure moment of x^gamma on the unit sphere in R^dim."""
-    if any(g % 2 for g in gamma):
-        return 0.0
-    num = Fraction(1)
-    for g in gamma:
-        for odd in range(1, g, 2):
-            num *= odd
-    half_total = sum(gamma) // 2
-    den = Fraction(1)
-    for j in range(half_total):
-        den *= dim + 2 * j
-    return float(num / den)
-
-
-def _moment_exponents(dim, t, even_only):
-    out = []
-    for total in range(1, t + 1):
-        if even_only and total % 2:
-            continue
-        stack = [(total, ())]
-        while stack:
-            left, head = stack.pop()
-            if len(head) == dim - 1:
-                out.append(head + (left,))
-                continue
-            for take in range(left, -1, -1):
-                stack.append((left - take, head + (take,)))
-    return out
-
-
-def _polish(cfg, base, mask, theta, flat_idx):
+def _polish(cfg, base, theta, flat_idx):
     """Gauss-Newton finish on the monomial moment residuals.
 
     Near a minimizer the variational value sits below the rounding noise of
@@ -303,51 +253,54 @@ def _polish(cfg, base, mask, theta, flat_idx):
     least-squares pass on them pushes the true defect several orders
     further down, to the level the quadrature accuracy targets need.
     """
-    exps = _moment_exponents(cfg.m + 1, cfg.t, even_only=cfg.symmetric)
-    if not exps or theta.size == 0:
+    dim = cfg.m + 1
+    E = np.array([g for g in monomial_exponents(dim, cfg.t)
+                  if sum(g) and not (cfg.symmetric and sum(g) % 2)])
+    if E.size == 0 or theta.size == 0:
         return theta
-    targets = np.array([_sphere_moment(cfg.m + 1, g) for g in exps])
-    E = np.array(exps)
+    # least_squares is not invariant to row order at rounding level, so the
+    # rows keep the order the polish was tuned with: graded, increasing
+    # lexicographic within each degree
+    E = E[np.lexsort(np.vstack([E.T[::-1], E.sum(axis=1)]))]
+    targets = np.array([real_sphere_moment(dim, g) for g in E])
     n = base.shape[0]
     tmax = int(E.max())
+    coord = np.arange(dim)[:, None]
+    step = max(1, _TABLE_BYTES // (8 * dim * n))
+    blocks = [(lo, E[lo : lo + step].T) for lo in range(0, len(E), step)]
 
     def build(theta_vec):
         phi = base.copy()
         phi.ravel()[flat_idx] = theta_vec
-        X = _points_from_angles(phi)
-        pw = np.ones((n, cfg.m + 1, tmax + 1))
+        X = _angles_to_points(phi)
+        pw = np.ones((dim, tmax + 1, n))
         for a in range(1, tmax + 1):
-            pw[:, :, a] = pw[:, :, a - 1] * X
-        return phi, X, pw
+            pw[:, a] = pw[:, a - 1] * X.T
+        return phi, pw
 
+    # for a block of rows Et (dim, rows), pw[coord, Et][k, r, i] is
+    # x_ik ** Et[k, r], coordinate k's factor of monomial r
     def residuals(theta_vec):
-        _, _, pw = build(theta_vec)
-        r = np.empty(len(exps))
-        for row, gamma in enumerate(exps):
-            prod = np.ones(n)
-            for k, g in enumerate(gamma):
-                if g:
-                    prod = prod * pw[:, k, g]
-            r[row] = np.mean(prod) - targets[row]
-        return r
+        _, pw = build(theta_vec)
+        means = [pw[coord, Et].prod(axis=0).mean(axis=1) for _, Et in blocks]
+        return np.concatenate(means) - targets
 
     def jacobian(theta_vec):
-        phi, _, pw = build(theta_vec)
-        J = np.empty((len(exps), theta_vec.size))
-        dim = cfg.m + 1
-        for row, gamma in enumerate(exps):
-            cols = [pw[:, k, gamma[k]] for k in range(dim)]
-            pre = np.ones((n, dim))
-            for k in range(1, dim):
-                pre[:, k] = pre[:, k - 1] * cols[k - 1]
-            suf = np.ones((n, dim))
-            for k in range(dim - 2, -1, -1):
-                suf[:, k] = suf[:, k + 1] * cols[k + 1]
-            gX = np.zeros((n, dim))
-            for k, g in enumerate(gamma):
-                if g:
-                    gX[:, k] = (g / n) * pre[:, k] * suf[:, k] * pw[:, k, g - 1]
-            J[row] = _angle_gradient(phi, gX).ravel()[flat_idx]
+        phi, pw = build(theta_vec)
+        J = np.empty((len(E), theta_vec.size))
+        for lo, Et in blocks:
+            F = pw[coord, Et]
+            ones = np.ones((1,) + F.shape[1:])
+            # the product of the other factors: exclusive prefix times suffix
+            pre = np.concatenate([ones, np.cumprod(F[:-1], axis=0)])
+            suf = np.concatenate([np.cumprod(F[:0:-1], axis=0)[::-1], ones])
+            dF = pw[coord, np.maximum(Et - 1, 0)]
+            gX = (Et[:, :, None] / n) * pre * suf * dF
+            # +0.0, not 0 * (negative product) = -0.0: the SVD in
+            # least_squares sees zero signs
+            gX[Et == 0] = 0.0
+            rows = _angle_gradient(phi, np.moveaxis(gX, 0, -1))
+            J[lo : lo + Et.shape[1]] = rows.reshape(Et.shape[1], -1)[:, flat_idx]
         return J
 
     res = least_squares(
@@ -365,36 +318,28 @@ def _polish(cfg, base, mask, theta, flat_idx):
 
 
 def _full_pointset(cfg, G):
-    if cfg.symmetric:
-        return RealPointSet(points=np.vstack([G, -G]), symmetric=True)
-    return RealPointSet(points=G)
+    return symmetrize(G) if cfg.symmetric else RealPointSet(points=G)
 
 
-def _result(cfg, X, W, iterations):
-    """Verdict, V and metrics of X, given its per-degree sums W."""
-    nsq = X.npoints**2
-    defect = float(np.max(W)) / nsq
-    V = fsum(
-        dim_harm(cfg.m, ell) * max(float(w), 0.0)
-        for ell, w in enumerate(W, start=1)
-    ) / nsq
-    report = mesh_ratio(X, CoveringOptions(seed=cfg.seed))
+def _result(cfg, X, report, iterations):
+    """SolveResult of X from its DesignReport, plus its metrics."""
+    metrics = mesh_ratio(X, CoveringOptions(seed=cfg.seed))
     return SolveResult(
         points=X,
-        final_V=V,
-        per_degree_max=defect,
+        final_V=report.V,
+        per_degree_max=report.max_defect,
         iterations=iterations,
-        converged=defect <= cfg.feasibility_tol,
-        mesh_ratio=report.mesh_ratio,
-        metrics=report,
+        converged=report.is_design,
+        mesh_ratio=metrics.mesh_ratio,
+        metrics=metrics,
     )
 
 
 def solve_feasibility(X0, cfg):
     """Descend V from X0 until the solver stalls or the budget runs out.
 
-    The returned verdict compares the per-degree sums of the final points
-    against cfg.feasibility_tol; an already-feasible X0 returns immediately.
+    The returned verdict is is_spherical_design of the final points at
+    cfg.feasibility_tol; an already-feasible X0 returns immediately.
     Accepted iterates never increase V and points stay exactly unit-norm
     through the angle parametrization (both checked; a violation raises
     RuntimeError), and symmetric runs keep antipodal pairs exact by
@@ -407,16 +352,16 @@ def solve_feasibility(X0, cfg):
     if cfg.symmetric and not X0.symmetric:
         raise ValueError("symmetric config needs a symmetric starting set")
 
-    W0 = per_degree_sums(X0, cfg.t)
-    if float(np.max(W0)) / cfg.N**2 <= cfg.feasibility_tol:
-        return _result(cfg, X0, W0, iterations=0)
+    report = is_spherical_design(X0, cfg.t, cfg.feasibility_tol)
+    if report.is_design:
+        return _result(cfg, X0, report, iterations=0)
 
     n = _generator_count(cfg)
     G = _canonicalize(np.array(X0.points[:n]))
     phi0 = np.array([point_to_angles(row) for row in G])
-    mask = _free_mask(n, cfg.m)
-    fun = _objective_factory(cfg, phi0, mask)
-    theta0 = phi0.ravel()[np.flatnonzero(mask.ravel())]
+    flat_idx = np.flatnonzero(_free_mask(n, cfg.m).ravel())
+    fun = _objective_factory(cfg, phi0, flat_idx)
+    theta0 = phi0.ravel()[flat_idx]
 
     iterations = 0
     if theta0.size:
@@ -460,19 +405,19 @@ def solve_feasibility(X0, cfg):
         # polish only when the descent actually reached the basin floor;
         # a stalled positive local minimum is not worth refining
         if res.fun <= 1e-9:
-            flat_idx = np.flatnonzero(mask.ravel())
-            theta_final = _polish(cfg, phi0, mask, theta_final, flat_idx)
+            theta_final = _polish(cfg, phi0, theta_final, flat_idx)
     else:
         theta_final = theta0
 
     phi = phi0.copy()
-    phi.ravel()[np.flatnonzero(mask.ravel())] = theta_final
-    G_final = _points_from_angles(phi)
+    phi.ravel()[flat_idx] = theta_final
+    G_final = _angles_to_points(phi)
     drift = float(np.max(np.abs(np.linalg.norm(G_final, axis=1) - 1.0)))
     if not drift < 1e-14:
         raise RuntimeError(f"final points are off the unit sphere by {drift:.3e}")
     X = _full_pointset(cfg, G_final)
-    return _result(cfg, X, per_degree_sums(X, cfg.t), iterations)
+    report = is_spherical_design(X, cfg.t, cfg.feasibility_tol)
+    return _result(cfg, X, report, iterations)
 
 
 def _run_restart(args):

@@ -39,6 +39,8 @@ def _as_matrix(points, dtype):
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError("point set must be an (N, dim) array with dim >= 2")
+    if arr.shape[0] == 0:
+        raise ValueError("point set is empty")
     return arr
 
 
@@ -117,15 +119,22 @@ def angles_to_point(phi):
         raise ValueError("angle outside its admissible range")
     if m > 1 and phi[0] > np.pi + _ANGLE_SLACK:
         raise ValueError("polar angle must lie in [0, pi]")
-    s = np.sin(phi)
-    c = np.cos(phi)
-    x = np.empty(m + 1)
-    prefix = 1.0
-    for k in range(m):
-        x[k] = prefix * c[k]
-        prefix *= s[k]
-    x[m] = prefix
-    return x
+    return _angles_to_points(phi[None, :])[0]
+
+
+def _angles_to_points(phi):
+    """Rows of angles_to_point for an (n, m) array, without the range
+    check: the optimizer iterates on unconstrained angles."""
+    n, m = phi.shape
+    S = np.sin(phi)
+    C = np.cos(phi)
+    P = np.cumprod(S, axis=1)
+    X = np.empty((n, m + 1))
+    X[:, 0] = C[:, 0]
+    if m > 1:
+        X[:, 1:m] = C[:, 1:] * P[:, : m - 1]
+    X[:, m] = P[:, m - 1]
+    return X
 
 
 def point_to_angles(x):
@@ -193,8 +202,6 @@ def complex_to_real(u):
 def symmetrize(X):
     """Append exact antipodes: N points become 2N with the symmetric flag set."""
     pts = X.points if isinstance(X, RealPointSet) else np.asarray(X, float)
-    if pts.size == 0:
-        return RealPointSet(points=np.empty((0, 2)), symmetric=False)
     return RealPointSet(points=np.vstack([pts, -pts]), symmetric=True)
 
 

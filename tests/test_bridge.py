@@ -37,7 +37,9 @@ def test_map_design_accepts_and_annotates():
 def test_map_design_rejects_non_designs():
     rng = np.random.default_rng(601)
     X = RealPointSet(points=random_unit_points(rng, 12, 4))
-    with pytest.raises(ValueError, match="not a degree-3 rule"):
+    with pytest.raises(
+        ValueError, match="not a degree-3 rule.*real per-degree max"
+    ):
         map_design(X, 3)
 
 

@@ -137,6 +137,25 @@ def test_gen_log_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _printed_V(out):
+    return [line.split("V = ")[1].split(",")[0]
+            for line in out.splitlines() if "V = " in line]
+
+
+def test_verify_prints_the_V_gen_printed(tmp_path, capsys):
+    sdf = tmp_path / "design.sdf"
+    assert run(
+        [
+            "gen", "--complex-dim", "2", "--degree", "3", "--symmetric",
+            "--restarts", "2", "--seed", "11", "--out", str(sdf),
+        ]
+    ) == 0
+    assert run(["verify", str(sdf), "--degree", "3"]) == 0
+    gen_V, verify_V = _printed_V(capsys.readouterr().out)
+    assert verify_V == gen_V
+    assert float(verify_V) >= 0.0
+
+
 def test_verify_perturbed_design_exits_one(tmp_path, capsys):
     sdf = tmp_path / "good.sdf"
     assert run(

@@ -1,8 +1,9 @@
 """Design criterion, gradients, and exact monomial verification.
 
 Oracles: a plain double-loop evaluation of the kernel sum, central finite
-differences for gradients, itertools enumeration for the monomial sweep, and
-hand-computed closed-form integrals.
+differences for gradients, itertools enumeration for the monomial sweep,
+hand-computed closed-form integrals, and Monte Carlo sampling of the real
+sphere moments.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from cxdesign import (
     verify_triangular_design,
     zonal_psi,
 )
+from cxdesign.criteria import monomial_exponents, real_sphere_moment
 from cxdesign.orthopoly import legendre_normalized
 from conftest import random_unit_points
 
@@ -202,6 +204,65 @@ def test_complex_monomial_integral_general_formula():
                 math.factorial(d - 1 + s),
             )
             _close_exact(complex_monomial_integral(d, a, a), expected)
+
+
+def test_sphere_moment_closed_forms():
+    # E[x_k^2] = 1/dim, E[x_k^4] = 3/(dim (dim+2)),
+    # E[x_j^2 x_k^2] = 1/(dim (dim+2)), odd exponents vanish
+    for dim in (3, 4, 6):
+        assert real_sphere_moment(dim, (2,) + (0,) * (dim - 1)) == pytest.approx(
+            float(Fraction(1, dim)), rel=1e-15
+        )
+        assert real_sphere_moment(dim, (4,) + (0,) * (dim - 1)) == pytest.approx(
+            float(Fraction(3, dim * (dim + 2))), rel=1e-15
+        )
+        assert real_sphere_moment(
+            dim, (2, 2) + (0,) * (dim - 2)
+        ) == pytest.approx(float(Fraction(1, dim * (dim + 2))), rel=1e-15)
+        assert real_sphere_moment(dim, (1,) + (0,) * (dim - 1)) == 0.0
+        assert real_sphere_moment(dim, (3, 2) + (0,) * (dim - 2)) == 0.0
+
+
+def test_sphere_moment_matches_sampling():
+    rng = np.random.default_rng(503)
+    X = random_unit_points(rng, 200000, 4)
+    for gamma in [(2, 0, 0, 0), (2, 2, 0, 0), (4, 0, 0, 0), (2, 1, 1, 0)]:
+        sample = float(np.mean(np.prod(X ** np.array(gamma), axis=1)))
+        exact = float(real_sphere_moment(4, gamma))
+        se = float(
+            np.std(np.prod(X ** np.array(gamma), axis=1)) / np.sqrt(len(X))
+        )
+        assert abs(sample - exact) < 5 * se + 1e-12
+
+
+def test_real_and_complex_moments_share_the_dirichlet_formula():
+    # |z_1|^(2a) = (x_1^2 + x_2^2)^a, expanded binomially on S^(2d-1)
+    for d in (2, 3):
+        for a in range(5):
+            e1 = (a,) + (0,) * (d - 1)
+            cx = complex_monomial_integral(d, e1, e1)
+            real = sum(
+                comb(a, k) * real_sphere_moment(
+                    2 * d, (2 * k, 2 * (a - k)) + (0,) * (2 * d - 2)
+                )
+                for k in range(a + 1)
+            )
+            assert cx.imag == 0.0
+            assert cx.real == pytest.approx(real, rel=1e-15)
+
+
+def test_moment_exponents_cover_the_grid():
+    # all exponent vectors with |gamma| <= t, each once, graded
+    for slots, t in [(4, 3), (4, 4), (2, 6)]:
+        full = monomial_exponents(slots, t)
+        brute = {
+            g for g in itertools.product(range(t + 1), repeat=slots)
+            if sum(g) <= t
+        }
+        assert len(full) == len(set(full)) == comb(slots + t, t)
+        assert set(full) == brute
+        totals = [sum(g) for g in full]
+        assert totals == sorted(totals)
 
 
 def test_monomial_pairs_enumeration():

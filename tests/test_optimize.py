@@ -1,12 +1,17 @@
 """Feasibility search: initialization, parametrization, descent, verdicts.
 
-Oracles: exact sphere-moment closed forms checked against QMC sampling,
-hand-computed lower-bound values, and the criteria module's independent
-verdict on returned configurations.
+Oracles: hand-computed lower-bound values, central finite differences for
+the polish Jacobian, direct per-row moment defects for its residuals, and
+the criteria module's independent verdict on returned configurations.
 """
 
 import csv
-from fractions import Fraction
+import os
+import subprocess
+import sys
+import textwrap
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +23,20 @@ from cxdesign import (
     find_design,
     initial_configuration,
     is_spherical_design,
+    point_to_angles,
     real_design_lower_bound,
     save_pointset,
     solve_feasibility,
     symmetrize,
     variational_value,
 )
-from cxdesign.optimize import _canonicalize, _moment_exponents, _sphere_moment
+from cxdesign.criteria import monomial_exponents, real_sphere_moment
+from cxdesign.optimize import (
+    _angle_gradient,
+    _canonicalize,
+    _free_mask,
+    _polish,
+)
 from conftest import random_unit_points
 
 
@@ -119,45 +131,6 @@ def test_canonicalize_preserves_the_criterion():
     # pinned triangle: row i has coordinates i+1.. exactly zero
     for i in range(min(4 - 1, 6)):
         assert np.all(fixed[i, i + 1:] == 0.0)
-
-
-def test_sphere_moment_closed_forms():
-    # E[x_k^2] = 1/dim, E[x_k^4] = 3/(dim (dim+2)),
-    # E[x_j^2 x_k^2] = 1/(dim (dim+2)), odd exponents vanish
-    for dim in (3, 4, 6):
-        assert _sphere_moment(dim, (2,) + (0,) * (dim - 1)) == pytest.approx(
-            float(Fraction(1, dim)), rel=1e-15
-        )
-        assert _sphere_moment(dim, (4,) + (0,) * (dim - 1)) == pytest.approx(
-            float(Fraction(3, dim * (dim + 2))), rel=1e-15
-        )
-        assert _sphere_moment(dim, (2, 2) + (0,) * (dim - 2)) == pytest.approx(
-            float(Fraction(1, dim * (dim + 2))), rel=1e-15
-        )
-        assert _sphere_moment(dim, (1,) + (0,) * (dim - 1)) == 0.0
-        assert _sphere_moment(dim, (3, 2) + (0,) * (dim - 2)) == 0.0
-
-
-def test_sphere_moment_matches_sampling():
-    rng = np.random.default_rng(503)
-    X = random_unit_points(rng, 200000, 4)
-    for gamma in [(2, 0, 0, 0), (2, 2, 0, 0), (4, 0, 0, 0), (2, 1, 1, 0)]:
-        sample = float(np.mean(np.prod(X ** np.array(gamma), axis=1)))
-        exact = float(_sphere_moment(4, gamma))
-        se = float(
-            np.std(np.prod(X ** np.array(gamma), axis=1)) / np.sqrt(len(X))
-        )
-        assert abs(sample - exact) < 5 * se + 1e-12
-
-
-def test_moment_exponents_cover_the_grid():
-    # all exponent vectors with |gamma| <= t (even totals only when asked)
-    full = list(_moment_exponents(4, 3, even_only=False))
-    assert len(full) == len(set(full))
-    assert all(sum(g) <= 3 for g in full)
-    even = list(_moment_exponents(4, 4, even_only=True))
-    assert all(sum(g) % 2 == 0 for g in even)
-    assert all(sum(g) <= 4 for g in even)
 
 
 def test_solve_feasibility_early_exit_on_design():
@@ -255,6 +228,10 @@ def test_final_V_is_nonnegative_and_matches_the_kernel_sum():
     result = solve_feasibility(initial_configuration(cfg), cfg)
     assert result.converged
     assert result.final_V >= 0.0
+    # the reported V is the verdict's V, the one `verify` prints
+    report = is_spherical_design(result.points, cfg.t, cfg.feasibility_tol)
+    assert result.final_V == report.V
+    assert result.per_degree_max == report.max_defect
     # off a design, the per-degree form is the kernel sum up to rounding
     rng = np.random.default_rng(505)
     X = RealPointSet(points=random_unit_points(rng, 60, 4))
@@ -267,14 +244,14 @@ def test_final_V_is_nonnegative_and_matches_the_kernel_sum():
 
 
 def test_unit_norm_check_survives_optimized_mode(monkeypatch):
-    original = optimize._points_from_angles
+    original = optimize._angles_to_points
 
     def off_sphere(phi):
         X = original(phi)
         X[0] *= 1.0 + 1e-9
         return X
 
-    monkeypatch.setattr(optimize, "_points_from_angles", off_sphere)
+    monkeypatch.setattr(optimize, "_angles_to_points", off_sphere)
     cfg = OptimizerConfig(
         t=2, m=3, N=6, symmetric=True, seed=9, max_iterations=5
     )
@@ -298,3 +275,129 @@ def test_solve_feasibility_input_validation():
     plain = RealPointSet(points=random_unit_points(rng, 8, 4))
     with pytest.raises(ValueError):
         solve_feasibility(plain, cfg)  # symmetric cfg needs a symmetric set
+
+
+def _polish_callables(monkeypatch, cfg, rng):
+    """The residual and Jacobian callables the polish hands to
+    least_squares, set up at a random start, plus the start's angles."""
+    captured = {}
+
+    def capture(fun, x0, jac, **kwargs):
+        captured.update(fun=fun, jac=jac)
+        return types.SimpleNamespace(x=x0)
+
+    monkeypatch.setattr(optimize, "least_squares", capture)
+    n = cfg.N // 2 if cfg.symmetric else cfg.N
+    G = _canonicalize(random_unit_points(rng, n, cfg.m + 1))
+    phi = np.array([point_to_angles(row) for row in G])
+    flat_idx = np.flatnonzero(_free_mask(n, cfg.m).ravel())
+    theta = phi.ravel()[flat_idx]
+    _polish(cfg, phi, theta, flat_idx)
+    return phi, theta, captured["fun"], captured["jac"]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_polish_jacobian_matches_finite_differences(monkeypatch, symmetric):
+    cfg = OptimizerConfig(t=4, m=3, N=16, symmetric=symmetric)
+    _, theta, fun, jac = _polish_callables(
+        monkeypatch, cfg, np.random.default_rng(507)
+    )
+    J = jac(theta)
+    h = 1e-6
+    fd = np.empty_like(J)
+    for j in range(theta.size):
+        step = np.zeros_like(theta)
+        step[j] = h
+        fd[:, j] = (fun(theta + step) - fun(theta - step)) / (2.0 * h)
+    assert J.shape == (fun(theta).size, theta.size)
+    assert np.max(np.abs(J - fd)) < 1e-8
+
+
+def test_polish_residuals_are_the_graded_moment_defects(monkeypatch):
+    # rows: even totals 2..t (symmetric), graded, increasing lexicographic
+    cfg = OptimizerConfig(t=5, m=3, N=20, symmetric=True)
+    phi, theta, fun, _ = _polish_callables(
+        monkeypatch, cfg, np.random.default_rng(508)
+    )
+    X = optimize._angles_to_points(phi)
+    rows = sorted(
+        (g for g in monomial_exponents(4, 5) if sum(g) and sum(g) % 2 == 0),
+        key=lambda g: (sum(g), g),
+    )
+    r = fun(theta)
+    assert r.shape == (len(rows),)
+    for row, gamma in enumerate(rows):
+        mono = np.prod(X ** np.array(gamma), axis=1)
+        exact = real_sphere_moment(4, gamma)
+        assert r[row] == pytest.approx(np.mean(mono) - exact, abs=1e-15)
+
+
+def test_angle_gradient_batches_bit_for_bit():
+    rng = np.random.default_rng(509)
+    phi = rng.uniform(0.0, np.pi, (7, 3))
+    gX = rng.standard_normal((5, 7, 4))
+    batched = _angle_gradient(phi, gX)
+    assert batched.shape == (5, 7, 3)
+    for b in range(5):
+        assert np.array_equal(batched[b], _angle_gradient(phi, gX[b]))
+
+
+def test_invariants_hold_under_python_O():
+    # the checks must raise with assert statements stripped
+    script = textwrap.dedent("""
+        import numpy as np
+        from cxdesign import OptimizerConfig, optimize, orthopoly, symmetrize
+
+        print("debug", __debug__)
+        original = optimize._angles_to_points
+
+        def off_sphere(phi):
+            X = original(phi)
+            X[0] *= 1.0 + 1e-9
+            return X
+
+        optimize._angles_to_points = off_sphere
+        cfg = OptimizerConfig(t=2, m=3, N=6, symmetric=True, seed=9,
+                              max_iterations=5)
+        G = np.random.default_rng(506).standard_normal((3, 4))
+        G /= np.linalg.norm(G, axis=1, keepdims=True)
+        orthopoly.dim_complex_harm = lambda d, k, l: 1
+        calls = {
+            "unit-norm": lambda: optimize.solve_feasibility(symmetrize(G), cfg),
+            "space-dim": lambda: orthopoly.dim_complex_space(2, 3),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+            except RuntimeError:
+                print(name, "RuntimeError")
+            else:
+                print(name, "passed")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == [
+        "debug False", "unit-norm RuntimeError", "space-dim RuntimeError",
+    ]
+
+
+def test_polish_row_blocks_do_not_change_the_bits(monkeypatch):
+    cfg = OptimizerConfig(t=4, m=3, N=16)
+    _, theta, fun, jac = _polish_callables(
+        monkeypatch, cfg, np.random.default_rng(510)
+    )
+    monkeypatch.setattr(optimize, "_TABLE_BYTES", 1)  # one row per block
+    _, theta_rows, fun_rows, jac_rows = _polish_callables(
+        monkeypatch, cfg, np.random.default_rng(510)
+    )
+    assert np.array_equal(theta, theta_rows)
+    assert np.array_equal(fun(theta), fun_rows(theta))
+    assert np.array_equal(jac(theta), jac_rows(theta))

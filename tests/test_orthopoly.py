@@ -6,6 +6,7 @@ math.comb arithmetic for every counting identity.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from cxdesign import (
     point_counts,
     zonal_psi,
 )
-from cxdesign.orthopoly import legendre_normalized_all
+from cxdesign import orthopoly
+from cxdesign.orthopoly import _jacobi_values, legendre_normalized_all
 
 
 def _scipy_normalized_legendre(ell, m, u):
@@ -168,6 +170,38 @@ def test_dim_complex_space_equals_bidegree_sum():
                 for k in range(s + 1)
             )
             assert dim_complex_space(d, t) == total
+
+
+def test_dim_complex_space_check_raises(monkeypatch):
+    monkeypatch.setattr(orthopoly, "dim_complex_harm", lambda d, k, l: 1)
+    with pytest.raises(RuntimeError, match="bidegree sum"):
+        dim_complex_space(2, 3)
+
+
+def _jacobi_exact(n, alpha, beta, u):
+    # the same upward recurrence in rational arithmetic
+    a, b, u = Fraction(alpha), Fraction(beta), Fraction(u)
+    p_prev, p_cur = Fraction(1), (a + 1) + (a + b + 2) * (u - 1) / 2
+    for k in range(2, n + 1):
+        s = 2 * k + a + b
+        c1 = 2 * k * (k + a + b) * (s - 2)
+        c2 = (s - 1) * (a * a - b * b)
+        c3 = (s - 2) * (s - 1) * s
+        c4 = 2 * (k + a - 1) * (k + b - 1) * s
+        p_prev, p_cur = p_cur, ((c2 + c3 * u) * p_cur - c4 * p_prev) / c1
+    return p_cur
+
+
+def test_jacobi_recurrence_accurate_to_degree_100():
+    # the kernel parameters (m/2, (m-2)/2), well past the published t = 31
+    u = np.linspace(-1.0, 1.0, 41)
+    n = 100
+    for m in (3, 5):
+        alpha, beta = m / 2.0, (m - 2.0) / 2.0
+        got = _jacobi_values(n, alpha, beta, u)
+        ref = np.array([float(_jacobi_exact(n, alpha, beta, x)) for x in u])
+        at_one = float(_jacobi_exact(n, alpha, beta, 1.0))
+        assert np.max(np.abs(got - ref)) < 1e-13 * abs(at_one)
 
 
 def test_point_counts_formula_arithmetic():

@@ -31,6 +31,8 @@ def test_pointset_validation():
         RealPointSet(points=np.eye(4), symmetric=True)  # no antipodal pairing
     sym = RealPointSet(points=np.vstack([np.eye(2), -np.eye(2)]), symmetric=True)
     assert sym.symmetric
+    with pytest.raises(ValueError, match="empty"):
+        RealPointSet(points=np.empty((0, 4)))
 
 
 def test_complex_pointset_dimensions():
@@ -123,6 +125,8 @@ def test_symmetrize():
     assert S.symmetric and S.npoints == 10
     assert np.array_equal(S.points[:5], G)
     assert np.array_equal(S.points[5:], -G)
+    with pytest.raises(ValueError, match="empty"):
+        symmetrize(np.empty((0, 4)))
 
 
 def test_sdf_roundtrip_real(tmp_path):
