@@ -58,7 +58,7 @@ def _build_parser():
     )
     g.add_argument("--init-file", default=None)
     g.add_argument("--threads", type=int, default=1,
-                   help="parallel restarts; 0 means all cores")
+                   help="worker processes, at most one per restart; 0 means all cores")
     g.add_argument("--log-csv", default=None,
                    help="per-restart log (restart, iterations, final_V, ...)")
     g.add_argument("--out", required=True)

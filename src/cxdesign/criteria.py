@@ -14,7 +14,7 @@ from math import fsum, prod
 
 import numpy as np
 
-from .orthopoly import ZonalKernel, dim_harm, legendre_normalized_all
+from .orthopoly import ZonalKernel, _gegenbauer, dim_harm
 from .sphere import ComplexPointSet, RealPointSet
 
 __all__ = [
@@ -69,7 +69,6 @@ class MonomialReport:
     checked: int
     passed: bool
     tolerance: float
-    mode: str
 
 
 def _require_points(X):
@@ -91,7 +90,7 @@ def variational_value(X, t):
     _require_points(X)
     if t < 1:
         raise ValueError("t must be at least 1")
-    kernel = ZonalKernel.create(t, X.m)
+    kernel = ZonalKernel(t, X.m)
     gram = np.clip(X.points @ X.points.T, -1.0, 1.0)
     vals, _ = kernel(gram)
     return _pair_sum(vals) / X.npoints**2
@@ -110,10 +109,10 @@ def variational_gradient(X, t):
         raise ValueError("t must be at least 1")
     if X.symmetric:
         gen = X.points[: X.npoints // 2]
-        kernel = ZonalKernel.create(t, X.m, symmetric_variant=True)
+        kernel = ZonalKernel(t, X.m, symmetric_variant=True)
     else:
         gen = X.points
-        kernel = ZonalKernel.create(t, X.m)
+        kernel = ZonalKernel(t, X.m)
     n = gen.shape[0]
     gram = np.clip(gen @ gen.T, -1.0, 1.0)
     _, ders = kernel(gram)
@@ -132,8 +131,10 @@ def per_degree_sums(X, t):
     if t < 1:
         raise ValueError("t must be at least 1")
     gram = np.clip(X.points @ X.points.T, -1.0, 1.0)
-    table = legendre_normalized_all(t, X.m, gram)
-    return np.array([_pair_sum(table[ell]) for ell in range(1, t + 1)])
+    # each degree is summed as the recurrence produces it, so memory stays
+    # a few N x N arrays whatever t is
+    sums = [_pair_sum(p) for p in _gegenbauer(t, X.m, gram)]
+    return np.array(sums[1:])
 
 
 def is_spherical_design(X, t, tol=1e-12):
@@ -225,13 +226,13 @@ def monomial_pairs(d, t):
         yield combined[:d], combined[d:]
 
 
-def verify_triangular_design(Z, t, tol=1e-10, mode="full"):
+def verify_triangular_design(Z, t, tol=1e-10):
     """Sweep every monomial z^alpha conj(z)^beta with |alpha|+|beta| <= t and
     compare the equal-weight average over Z against the exact integral.
 
-    mode "full" checks everything and reports the worst error; mode "fast"
-    stops at the first violation. Exactness on all monomials in the sweep
-    is equivalent to the triangular design property at degree t.
+    Every monomial is checked and the worst error is reported. Exactness on
+    all monomials in the sweep is equivalent to the triangular design
+    property at degree t.
     """
     if not isinstance(Z, ComplexPointSet):
         raise TypeError("expected a ComplexPointSet")
@@ -239,8 +240,6 @@ def verify_triangular_design(Z, t, tol=1e-10, mode="full"):
         raise ValueError("t must be at least 1")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if mode not in ("full", "fast"):
-        raise ValueError("mode must be 'full' or 'fast'")
     pts = Z.points
     N, d = pts.shape
     # power tables: pows[:, j, a] = z_j^a
@@ -265,8 +264,6 @@ def verify_triangular_design(Z, t, tol=1e-10, mode="full"):
         if err > max_error:
             max_error = err
             worst = (alpha, beta)
-            if mode == "fast" and err > tol:
-                break
     return MonomialReport(
         t=t,
         N=N,
@@ -276,5 +273,4 @@ def verify_triangular_design(Z, t, tol=1e-10, mode="full"):
         checked=checked,
         passed=max_error <= tol,
         tolerance=tol,
-        mode=mode,
     )

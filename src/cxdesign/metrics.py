@@ -15,8 +15,9 @@ covering radius of the start net itself, bounded by pi * seeds**(-1/m).
 Memory stays bounded in N. Seeding draws the net _CHUNK rows at a time and
 ranks each chunk by its nearest-point inner products taken in row blocks of
 at most _BLOCK_BYTES, so it needs O(_CHUNK * dim + _BLOCK_BYTES) whatever
-the point count. Refinement works on the (N + _TOP_K) x N inner products of
-its starts, O((N + 48) * N).
+the point count. Refinement takes the inner products of its N + _TOP_K
+starts in row blocks of the same size, so it needs O((N + 48) * dim +
+_BLOCK_BYTES).
 """
 
 from __future__ import annotations
@@ -109,12 +110,6 @@ def sorted_inner_products(X):
     return np.sort(vals)[::-1]
 
 
-def _exact_min_dist(Y, pts):
-    # F(y) = min_i arccos(y . x_i), evaluated exactly for each row of Y
-    u = np.clip(Y @ pts.T, -1.0, 1.0)
-    return np.arccos(np.max(u, axis=1))
-
-
 def _net_on_sphere(n, dim, engine):
     g = engine.random(n)
     # inverse normal CDF turns the digital net into a Gaussian net; rows
@@ -141,6 +136,12 @@ def _max_inner(Y, pts):
     return out
 
 
+def _exact_min_dist(Y, pts):
+    # F(y) = min_i arccos(y . x_i), evaluated exactly for each row of Y; clip
+    # and arccos are monotone, so they can follow the row maximum
+    return np.arccos(np.clip(_max_inner(Y, pts), -1.0, 1.0))
+
+
 def _top_starts(pts, seeds, seed):
     n, dim = pts.shape
     engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
@@ -150,9 +151,7 @@ def _top_starts(pts, seeds, seed):
     while remaining > 0:
         take = min(_CHUNK, remaining)
         Y = _net_on_sphere(take, dim, engine)
-        # clip is monotone, so clipping the row maxima equals the maximum of
-        # the clipped row; F is the exact min-distance of every net point
-        F = np.arccos(np.clip(_max_inner(Y, pts), -1.0, 1.0))
+        F = _exact_min_dist(Y, pts)
         vals = np.concatenate([best_vals, F])
         cand = np.vstack([best_pts, Y])
         order = np.argsort(vals)[::-1][:_TOP_K]
@@ -172,16 +171,21 @@ def _refine(Y, pts, iters):
     taus = np.geomspace(0.5, 1e-10, max(iters, 2))
     F = _exact_min_dist(Y, pts)
     h = np.full(Y.shape[0], 0.05)
+    rows = max(1, _BLOCK_BYTES // (8 * pts.shape[0]))
+    G = np.empty_like(Y)
     for tau in taus[:iters]:
-        u = np.clip(Y @ pts.T, -1.0, 1.0)
-        d = np.arccos(u)
-        dmin = np.min(d, axis=1, keepdims=True)
-        w = np.exp(-(d - dmin) / tau)
-        w /= np.sum(w, axis=1, keepdims=True)
-        # d/dy arccos(y.x) = -x / sqrt(1 - (y.x)^2), then project to tangent
-        coef = w / np.sqrt(np.maximum(1.0 - u * u, 1e-30))
-        G = -(coef @ pts)
-        G -= np.sum(G * Y, axis=1, keepdims=True) * Y
+        for lo in range(0, Y.shape[0], rows):
+            Yb = Y[lo : lo + rows]
+            u = np.clip(Yb @ pts.T, -1.0, 1.0)
+            d = np.arccos(u)
+            dmin = np.min(d, axis=1, keepdims=True)
+            w = np.exp(-(d - dmin) / tau)
+            w /= np.sum(w, axis=1, keepdims=True)
+            # d/dy arccos(y.x) = -x / sqrt(1 - (y.x)^2), then project to tangent
+            coef = w / np.sqrt(np.maximum(1.0 - u * u, 1e-30))
+            Gb = -(coef @ pts)
+            Gb -= np.sum(Gb * Yb, axis=1, keepdims=True) * Yb
+            G[lo : lo + rows] = Gb
         gnorm = np.linalg.norm(G, axis=1)
         alive = gnorm > 1e-17
         if not np.any(alive):

@@ -18,6 +18,7 @@ stopping rule.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -226,7 +227,7 @@ def _canonicalize(G):
 
 def _objective_factory(cfg, phi0, flat_idx):
     n, m = phi0.shape
-    kernel = ZonalKernel.create(cfg.t, cfg.m, symmetric_variant=cfg.symmetric)
+    kernel = ZonalKernel(cfg.t, cfg.m, symmetric_variant=cfg.symmetric)
     base = phi0.copy()
 
     def fun(theta):
@@ -432,13 +433,17 @@ def find_design(cfg, log_csv=None, threads=1):
     Ties go to the earlier restart. If nothing converges, the result with
     the smallest V is returned with converged=False. log_csv, when given,
     receives one row per restart: restart, iterations, final_V, separation,
-    covering, mesh_ratio.
+    covering, mesh_ratio. threads is the number of worker processes, 0 for
+    one per core; it is capped at cfg.restarts, because the pool starts all
+    its workers at once.
     """
+    if threads < 0:
+        raise ValueError("threads must be >= 0")
     jobs = [(cfg, r) for r in range(cfg.restarts)]
-    if threads == 1 or cfg.restarts == 1:
+    workers = min(threads or os.cpu_count() or 1, cfg.restarts)
+    if workers == 1:
         outcomes = [_run_restart(job) for job in jobs]
     else:
-        workers = threads if threads > 0 else None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_restart, jobs))
     outcomes.sort(key=lambda pair: pair[0])

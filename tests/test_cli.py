@@ -117,6 +117,19 @@ def test_gen_failure_exits_one(tmp_path, capsys):
     assert "NOT converged" in out
 
 
+def test_gen_negative_threads_exits_two(tmp_path, capsys):
+    sdf = tmp_path / "never.sdf"
+    code = run(
+        [
+            "gen", "--complex-dim", "2", "--degree", "3", "--points", "10",
+            "--restarts", "1", "--threads", "-1", "--out", str(sdf),
+        ]
+    )
+    assert code == 2
+    assert not sdf.exists()
+    assert "threads" in capsys.readouterr().err
+
+
 def test_gen_log_csv(tmp_path, capsys):
     sdf = tmp_path / "logged.sdf"
     log = tmp_path / "log.csv"

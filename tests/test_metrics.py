@@ -162,6 +162,30 @@ def test_covering_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+def test_refinement_memory_is_bounded():
+    # the N + 48 ascent starts are refined in row blocks, so the peak holds
+    # no (N + 48) x N array (2048 x 2000 doubles, 33 MB each)
+    rng = np.random.default_rng(412)
+    X = RealPointSet(points=random_unit_points(rng, 2000, 4))
+    opts = CoveringOptions(seeds=2**10, refine_iters=2)
+    tracemalloc.start()
+    try:
+        covering_estimate(X, opts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_refinement_blocks_do_not_change_the_estimate(monkeypatch):
+    rng = np.random.default_rng(413)
+    X = RealPointSet(points=random_unit_points(rng, 40, 4))
+    opts = CoveringOptions(seeds=2**12, refine_iters=20, seed=3)
+    one_block = covering_estimate(X, opts)
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 40 * 3)  # 3 rows
+    assert covering_estimate(X, opts) == one_block
+
+
 def test_zero_seeds_rejected(tmp_path):
     X = _cross_polytope(4)
     with pytest.raises(ValueError, match="seeds"):

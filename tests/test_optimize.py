@@ -169,6 +169,33 @@ def test_find_design_parallel_matches_sequential():
     assert seq.mesh_ratio == par.mesh_ratio
 
 
+def test_find_design_caps_workers_at_the_restart_count(monkeypatch):
+    # a stand-in pool that records its size and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", SerialPool)
+    cfg = OptimizerConfig(t=2, m=3, N=6, symmetric=True, restarts=2, seed=9)
+    pooled = find_design(cfg, threads=64)
+    assert sizes == [2]
+    assert np.array_equal(pooled.points.points, find_design(cfg).points.points)
+    with pytest.raises(ValueError, match="threads"):
+        find_design(cfg, threads=-1)
+    assert sizes == [2]
+
+
 def test_find_design_small_search_converges(design_library):
     result = design_library.get(2, 3)  # t = 3, N = 10 on S^3
     assert result.converged

@@ -1,8 +1,9 @@
 """Orthogonal polynomial kernel and counting formulas.
 
-Oracles: scipy.special.eval_jacobi for polynomial values, an explicit
-harmonic-dimension-weighted Gegenbauer sum for the zonal kernel, and
-math.comb arithmetic for every counting identity.
+Oracles: scipy.special.eval_jacobi for polynomial values and for the
+closed form of the zonal kernel, an explicit harmonic-dimension-weighted
+Gegenbauer sum for the kernel series, exact rational arithmetic for the
+recurrence, and math.comb arithmetic for every counting identity.
 """
 
 import math
@@ -17,14 +18,12 @@ from cxdesign import (
     dim_complex_harm,
     dim_complex_space,
     dim_harm,
-    jacobi_eval,
-    kernel_expansion_coeffs,
     legendre_normalized,
     point_counts,
     zonal_psi,
 )
 from cxdesign import orthopoly
-from cxdesign.orthopoly import _jacobi_values, legendre_normalized_all
+from cxdesign.orthopoly import _gegenbauer
 
 
 def _scipy_normalized_legendre(ell, m, u):
@@ -40,21 +39,6 @@ def _psi_series_oracle(t, m, u):
     for ell in range(1, t + 1):
         total += dim_harm(m, ell) * _scipy_normalized_legendre(ell, m, u)
     return total
-
-
-def test_jacobi_matches_scipy():
-    rng = np.random.default_rng(101)
-    u = rng.uniform(-1.0, 1.0, size=40)
-    h = 1e-6
-    for n in range(13):
-        for a, b in [(0.5, -0.5), (1.5, 0.5), (2.5, 1.5), (0.0, 0.0), (3.0, 1.0)]:
-            val, der = jacobi_eval(n, a, b, u)
-            ref = eval_jacobi(n, a, b, u)
-            scale = np.maximum(1.0, np.abs(ref))
-            assert np.all(np.abs(val - ref) / scale < 1e-12)
-            fd = (eval_jacobi(n, a, b, u + h) - eval_jacobi(n, a, b, u - h)) / (2 * h)
-            dscale = np.maximum(1.0, np.abs(fd))
-            assert np.all(np.abs(der - fd) / dscale < 1e-6)
 
 
 def test_legendre_normalized_is_one_at_north_pole():
@@ -73,12 +57,13 @@ def test_legendre_normalized_matches_scipy():
             assert np.all(np.abs(ours - ref) < 1e-10 * np.maximum(1, np.abs(ref)))
 
 
-def test_legendre_normalized_all_stacks_the_scalar_version():
+def test_gegenbauer_terms_stack_the_scalar_version():
     rng = np.random.default_rng(103)
     u = rng.uniform(-1.0, 1.0, size=(4, 6))
-    table = legendre_normalized_all(9, 5, u)
-    for ell in range(10):
-        assert np.allclose(table[ell], legendre_normalized(ell, 5, u), atol=1e-13)
+    terms = [p.copy() for p in _gegenbauer(9, 5, u)]
+    assert len(terms) == 10
+    for ell, term in enumerate(terms):
+        assert np.allclose(term, legendre_normalized(ell, 5, u), atol=1e-13)
 
 
 def test_zonal_psi_equals_weighted_gegenbauer_sum():
@@ -100,16 +85,35 @@ def test_zonal_psi_at_north_pole_is_sum_of_dimensions():
             assert zonal_psi(t, m, 1.0)[0] == pytest.approx(expected, rel=1e-11)
 
 
-def test_kernel_expansion_recovers_harmonic_dimensions():
-    # quadrature projection of psi onto the normalized Gegenbauer basis
-    for m in (3, 5, 9):
-        for t in (2, 5, 12):
-            coeffs = kernel_expansion_coeffs(t, m)
-            expected = np.array([dim_harm(m, ell) for ell in range(1, t + 1)], float)
-            assert coeffs.shape == (t + 1,)
-            assert abs(coeffs[0]) < 1e-9
-            assert np.max(np.abs(coeffs[1:] - expected) / expected) < 1e-9
-            assert np.all(coeffs[1:] > 0)
+def _closed_form_oracle(t, m, u):
+    # psi_t = c P_t^(m/2,(m-2)/2)(u) - 1 with c fixing psi_t(1) to the sum of
+    # Z(m, ell), and its derivative c (t + m)/2 P_{t-1}^(m/2+1,m/2)(u)
+    alpha, beta = m / 2.0, (m - 2.0) / 2.0
+    total = math.comb(t + m, m) + math.comb(t + m - 1, m)
+    c = total / eval_jacobi(t, alpha, beta, 1.0)
+    val = c * eval_jacobi(t, alpha, beta, u) - 1.0
+    der = c * (t + m) / 2.0 * eval_jacobi(t - 1, alpha + 1.0, beta + 1.0, u)
+    return val, der
+
+
+def test_kernel_matches_closed_form_oracle():
+    rng = np.random.default_rng(107)
+    u = np.concatenate([rng.uniform(-1.0, 1.0, size=64), [-1.0, 0.0, 1.0]])
+    for m in (3, 5, 7, 11):
+        for t in range(1, 32):
+            val, der = _closed_form_oracle(t, m, u)
+            val_n, der_n = _closed_form_oracle(t, m, -u)
+            cases = [
+                (False, val, der),
+                (True, 0.5 * (val + val_n), 0.5 * (der - der_n)),
+            ]
+            for symmetric, ref_val, ref_der in cases:
+                got_val, got_der = ZonalKernel(t, m, symmetric)(u)
+                # relative to the kernel's scale psi_t(1) and psi_t'(1)
+                scale_val = np.max(np.abs(val))
+                scale_der = np.max(np.abs(der))
+                assert np.max(np.abs(got_val - ref_val)) < 1e-13 * scale_val
+                assert np.max(np.abs(got_der - ref_der)) < 1e-13 * scale_der
 
 
 def test_zonal_kernel_value_and_derivative():
@@ -117,7 +121,7 @@ def test_zonal_kernel_value_and_derivative():
     u = rng.uniform(-0.95, 0.95, size=32)
     h = 1e-6
     for m, t in [(3, 3), (3, 8), (5, 5), (7, 4)]:
-        kernel = ZonalKernel.create(t, m)
+        kernel = ZonalKernel(t, m)
         vals, ders = kernel(u)
         assert np.allclose(vals, zonal_psi(t, m, u)[0], atol=1e-11)
         fd = (zonal_psi(t, m, u + h)[0] - zonal_psi(t, m, u - h)[0]) / (2 * h)
@@ -129,8 +133,8 @@ def test_symmetric_kernel_averages_antipodes():
     rng = np.random.default_rng(106)
     u = rng.uniform(-1.0, 1.0, size=16)
     for m, t in [(3, 5), (5, 3)]:
-        plain = ZonalKernel.create(t, m)
-        even = ZonalKernel.create(t, m, symmetric_variant=True)
+        plain = ZonalKernel(t, m)
+        even = ZonalKernel(t, m, symmetric_variant=True)
         v_plus, d_plus = plain(u)
         v_minus, d_minus = plain(np.negative(u))
         v_even, d_even = even(u)
@@ -178,30 +182,28 @@ def test_dim_complex_space_check_raises(monkeypatch):
         dim_complex_space(2, 3)
 
 
-def _jacobi_exact(n, alpha, beta, u):
-    # the same upward recurrence in rational arithmetic
-    a, b, u = Fraction(alpha), Fraction(beta), Fraction(u)
-    p_prev, p_cur = Fraction(1), (a + 1) + (a + b + 2) * (u - 1) / 2
-    for k in range(2, n + 1):
-        s = 2 * k + a + b
-        c1 = 2 * k * (k + a + b) * (s - 2)
-        c2 = (s - 1) * (a * a - b * b)
-        c3 = (s - 2) * (s - 1) * s
-        c4 = 2 * (k + a - 1) * (k + b - 1) * s
-        p_prev, p_cur = p_cur, ((c2 + c3 * u) * p_cur - c4 * p_prev) / c1
+def _gegenbauer_exact(n, m, u):
+    # the same normalized recurrence in rational arithmetic
+    u = Fraction(u)
+    p_prev, p_cur = Fraction(1), u
+    for ell in range(2, n + 1):
+        a = Fraction(2 * ell + m - 3, ell + m - 2)
+        b = Fraction(ell - 1, ell + m - 2)
+        p_prev, p_cur = p_cur, a * u * p_cur - b * p_prev
     return p_cur
 
 
 def test_jacobi_recurrence_accurate_to_degree_100():
-    # the kernel parameters (m/2, (m-2)/2), well past the published t = 31
+    # the normalized Gegenbauer recurrence (Jacobi with alpha = beta) on S^m
+    # for the kernel value and on S^(m+2) for its derivative, well past the
+    # published t = 31; Pbar_n(1) = 1, so the bound is absolute
     u = np.linspace(-1.0, 1.0, 41)
     n = 100
-    for m in (3, 5):
-        alpha, beta = m / 2.0, (m - 2.0) / 2.0
-        got = _jacobi_values(n, alpha, beta, u)
-        ref = np.array([float(_jacobi_exact(n, alpha, beta, x)) for x in u])
-        at_one = float(_jacobi_exact(n, alpha, beta, 1.0))
-        assert np.max(np.abs(got - ref)) < 1e-13 * abs(at_one)
+    for m in (3, 5, 7):
+        for p in _gegenbauer(n, m, u):
+            pass
+        ref = np.array([float(_gegenbauer_exact(n, m, x)) for x in u])
+        assert np.max(np.abs(p - ref)) < 1e-13
 
 
 def test_point_counts_formula_arithmetic():
