@@ -213,7 +213,7 @@ def _cmd_metrics(args):
         f"metrics N={report.N} on S^{X.m}:\n"
         f"  separation    = {report.separation:.6f}\n"
         f"  covering      = {report.covering:.6f} "
-        f"(net resolution {report.covering_uncertainty:.2e})\n"
+        f"(uncertainty {report.covering_uncertainty:.2e})\n"
         f"  mesh ratio    = {report.mesh_ratio:.6f}\n"
         f"  wrote {out}"
     )

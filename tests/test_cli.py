@@ -1,6 +1,10 @@
 """Command-line contract: flags, exit codes, and emitted artifacts."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,7 +216,24 @@ def test_metrics_emits_report(tmp_path, capsys):
     ]
     assert int(rows[1][0]) == 8
     assert float(rows[1][4]) >= 1.0
-    capsys.readouterr()
+    assert "(uncertainty " in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # only the covering net draws from scipy.stats.qmc, and it imports it
+    # when it runs; a fresh interpreter shows what `import cxdesign.cli` loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    script = "import sys, cxdesign.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_map_without_degree_header_exits_two(tmp_path, capsys):

@@ -2,13 +2,17 @@
 
 Oracles: brute-force pairwise loops for separation, analytic covering radii
 of the tight families, and the packing bound covering >= separation / 2.
+Tests of the net estimator call `metrics._net_candidates` or use points on
+S^7, because on S^3 and S^5 `covering_estimate` takes the hull path.
 """
 
 import csv
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 from scipy.stats import qmc
 
 from cxdesign import metrics
@@ -42,6 +46,22 @@ def _brute_separation(points):
 
 def _cross_polytope(dim):
     return symmetrize(np.eye(dim))
+
+
+def _simplex(dim, rng):
+    # dim + 1 unit vectors in R^dim with pairwise inner product -1/dim,
+    # randomly rotated so no facet is axis-aligned
+    centred = np.eye(dim + 1) - 1.0 / (dim + 1)
+    _, _, vt = np.linalg.svd(centred)
+    pts = centred @ vt[:dim].T
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return RealPointSet(points=pts @ rotation)
+
+
+def _net_max(pts, opts):
+    values, _ = metrics._net_candidates(pts, opts)
+    return float(np.max(values))
 
 
 def test_separation_matches_brute_force():
@@ -100,16 +120,15 @@ def test_covering_monotone_under_insertion():
     base = random_unit_points(rng, 10, 4)
     extra = random_unit_points(rng, 1, 4)
     opts = CoveringOptions(seeds=2**13, refine_iters=25, seed=7)
-    before, _ = covering_estimate(RealPointSet(points=base), opts)
-    after, _ = covering_estimate(
-        RealPointSet(points=np.vstack([base, extra])), opts
-    )
+    before = _net_max(base, opts)
+    after = _net_max(np.vstack([base, extra]), opts)
     assert after <= before + 1e-9
 
 
 def test_covering_deterministic():
+    # on S^7, so covering_estimate runs the net path
     rng = np.random.default_rng(404)
-    X = RealPointSet(points=random_unit_points(rng, 12, 4))
+    X = RealPointSet(points=random_unit_points(rng, 12, 8))
     opts = CoveringOptions(seeds=2**12, refine_iters=20, seed=3)
     a = covering_estimate(X, opts)
     b = covering_estimate(X, opts)
@@ -151,11 +170,11 @@ def test_covering_memory_is_bounded():
     # the net is ranked in blocks, so the peak does not hold a chunk x N
     # Gram (2**18 x 1000 doubles, 2 GB)
     rng = np.random.default_rng(410)
-    X = RealPointSet(points=random_unit_points(rng, 1000, 4))
+    pts = random_unit_points(rng, 1000, 4)
     opts = CoveringOptions(seeds=2**18, refine_iters=2)
     tracemalloc.start()
     try:
-        covering_estimate(X, opts)
+        metrics._net_candidates(pts, opts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -166,11 +185,11 @@ def test_refinement_memory_is_bounded():
     # the N + 48 ascent starts are refined in row blocks, so the peak holds
     # no (N + 48) x N array (2048 x 2000 doubles, 33 MB each)
     rng = np.random.default_rng(412)
-    X = RealPointSet(points=random_unit_points(rng, 2000, 4))
+    pts = random_unit_points(rng, 2000, 4)
     opts = CoveringOptions(seeds=2**10, refine_iters=2)
     tracemalloc.start()
     try:
-        covering_estimate(X, opts)
+        metrics._net_candidates(pts, opts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -179,11 +198,11 @@ def test_refinement_memory_is_bounded():
 
 def test_refinement_blocks_do_not_change_the_estimate(monkeypatch):
     rng = np.random.default_rng(413)
-    X = RealPointSet(points=random_unit_points(rng, 40, 4))
+    pts = random_unit_points(rng, 40, 4)
     opts = CoveringOptions(seeds=2**12, refine_iters=20, seed=3)
-    one_block = covering_estimate(X, opts)
+    one_block = _net_max(pts, opts)
     monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 40 * 3)  # 3 rows
-    assert covering_estimate(X, opts) == one_block
+    assert _net_max(pts, opts) == one_block
 
 
 def test_zero_seeds_rejected(tmp_path):
@@ -192,6 +211,109 @@ def test_zero_seeds_rejected(tmp_path):
         covering_estimate(X, CoveringOptions(seeds=0))
     with pytest.raises(ValueError, match="seeds"):
         write_covering_csv(tmp_path / "cov.csv", X, CoveringOptions(seeds=0))
+
+
+def test_negative_refine_iters_rejected():
+    # options are checked on construction, so the hull path rejects them too
+    with pytest.raises(ValueError, match="refine_iters"):
+        CoveringOptions(refine_iters=-1)
+    assert CoveringOptions(refine_iters=0).refine_iters == 0
+
+
+def test_hull_hits_the_closed_forms():
+    # cross-polytope: arccos(1 / sqrt(dim)); simplex: the antipode of a
+    # vertex, arccos(1 / dim)
+    rng = np.random.default_rng(414)
+    for dim in (4, 6):
+        for X, exact in [
+            (_cross_polytope(dim), np.arccos(1.0 / np.sqrt(dim))),
+            (_simplex(dim, rng), np.arccos(1.0 / dim)),
+        ]:
+            value, unc = covering_estimate(X)
+            assert abs(value - exact) <= 1e-14
+            assert 0.0 < unc < 1e-12
+
+
+def test_hull_is_at_least_the_net_estimate():
+    # the hull reaches the deepest hole; the net estimate is a lower bound
+    rng = np.random.default_rng(415)
+    opts = CoveringOptions(seeds=2**12, refine_iters=20, seed=1)
+    for k in range(20):
+        dim = 4 if k % 2 == 0 else 6
+        pts = random_unit_points(rng, int(rng.integers(30, 60)), dim)
+        hull = metrics._hull_candidates(pts)
+        assert hull is not None
+        assert np.max(hull[0]) >= _net_max(pts, opts) - 1e-15
+
+
+def test_hull_value_is_the_min_distance_at_the_winning_normal():
+    rng = np.random.default_rng(416)
+    for dim in (4, 6):
+        pts = random_unit_points(rng, 50, dim)
+        value, unc = covering_estimate(RealPointSet(points=pts))
+        eq = ConvexHull(pts).equations
+        normals = eq[:, :-1] / np.linalg.norm(eq[:, :-1], axis=1, keepdims=True)
+        values, _ = metrics._hull_candidates(pts)
+        assert values.shape == (len(normals),)
+        best = normals[np.argmax(values)]
+        brute = min(
+            math.acos(min(1.0, max(-1.0, math.fsum(best * x)))) for x in pts
+        )
+        assert abs(value - brute) <= unc
+
+
+def test_hull_ignores_seed_and_coordinate_order():
+    rng = np.random.default_rng(417)
+    for dim in (4, 6):
+        pts = random_unit_points(rng, 80, dim)
+        a, ua = covering_estimate(RealPointSet(points=pts))
+        assert covering_estimate(
+            RealPointSet(points=pts), CoveringOptions(seed=9, seeds=2**10)
+        ) == (a, ua)
+        perm = rng.permutation(dim)
+        b, ub = covering_estimate(RealPointSet(points=pts[:, perm]))
+        assert abs(a - b) <= ua + ub
+
+
+def test_degenerate_sets_take_the_net_path():
+    # the antipodal pair has no full-dimensional hull; points inside one
+    # hemisphere have a hull that misses the origin, and their deepest hole
+    # (beyond pi/2) lies off every facet normal
+    pair = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]])
+    assert metrics._hull_candidates(pair) is None
+    value, unc = covering_estimate(RealPointSet(points=pair))
+    assert value == pytest.approx(np.pi / 2, abs=1e-9)
+    assert unc == pytest.approx(np.pi * (2 * metrics._SEED_FACTOR) ** (-1 / 3))
+    rng = np.random.default_rng(418)
+    cap = random_unit_points(rng, 30, 4)
+    cap[:, 0] = np.abs(cap[:, 0]) + 0.5
+    cap /= np.linalg.norm(cap, axis=1, keepdims=True)
+    assert metrics._hull_candidates(cap) is None
+    value, unc = covering_estimate(RealPointSet(points=cap))
+    assert value > np.pi / 2 and unc > 1e-3
+
+
+def test_hull_memory_is_bounded():
+    # 3642 points of S^3 (the largest published count) have about 24k
+    # facets; the normals are evaluated in row blocks, never facets x N
+    rng = np.random.default_rng(419)
+    X = RealPointSet(points=random_unit_points(rng, 3642, 4))
+    tracemalloc.start()
+    try:
+        covering_estimate(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_covering_csv_has_one_row_per_facet(tmp_path):
+    path = tmp_path / "cov.csv"
+    write_covering_csv(path, _cross_polytope(4))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 16
+    assert all(abs(float(r[1]) - np.pi / 3) <= 1e-15 for r in rows[1:])
 
 
 def test_covering_csv_leads_with_the_estimate(tmp_path):
