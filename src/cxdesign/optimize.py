@@ -10,7 +10,8 @@ The quasi-Newton loop is run until it can no longer make progress rather
 than until the per-degree sums cross the acceptance tolerance: quadrature
 errors scale like the square root of V, so stopping at a per-degree level
 of 1e-12 would leave monomial errors near 1e-6. Stalling instead lands V
-at the rounding floor (~1e-24 on desk-scale problems), which is what makes
+near the rounding floor of its own evaluation, and the Gauss-Newton polish
+on the moment residuals takes the defect from there to the level that makes
 the integration demo hit 1e-11. The tolerance is the verdict, not the
 stopping rule.
 """
@@ -367,19 +368,9 @@ def solve_feasibility(X0, cfg):
     iterations = 0
     if theta0.size:
         history = []
-        cache = {}
 
-        def wrapped(theta):
-            V, g = fun(theta)
-            if len(cache) > 64:
-                cache.clear()
-            cache[theta.tobytes()] = V
-            return V, g
-
-        def on_iterate(theta):
-            V = cache.get(theta.tobytes())
-            if V is None:
-                V = fun(theta)[0]
+        def on_iterate(intermediate_result):
+            V = intermediate_result.fun
             if history and V > history[-1] + 1e-15 * max(1.0, abs(history[-1])):
                 raise RuntimeError(
                     f"descent increased V from {history[-1]:.3e} to {V:.3e}"
@@ -387,7 +378,7 @@ def solve_feasibility(X0, cfg):
             history.append(V)
 
         res = minimize(
-            wrapped,
+            fun,
             theta0,
             jac=True,
             method="L-BFGS-B",

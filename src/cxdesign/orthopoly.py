@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-9
+_MAX_DEGREE = 100  # highest degree accepted: _gegenbauer's measured range
 
 
 def _check_domain(u):
@@ -107,8 +108,8 @@ def legendre_normalized(ell, m, u):
     """
     if m < 2:
         raise ValueError("sphere dimension must be >= 2")
-    if ell < 0:
-        raise ValueError("degree must be nonnegative")
+    if not 0 <= ell <= _MAX_DEGREE:
+        raise ValueError(f"degree must be in 0..{_MAX_DEGREE}")
     scalar = np.isscalar(u)
     u = _check_domain(u)
     for p in _gegenbauer(ell, m, u):
@@ -143,8 +144,8 @@ class ZonalKernel:
     symmetric_variant: bool = False
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("kernel degree must be >= 1")
+        if not 1 <= self.t <= _MAX_DEGREE:
+            raise ValueError(f"kernel degree must be in 1..{_MAX_DEGREE}")
         if self.m < 2:
             raise ValueError("sphere dimension must be >= 2")
 

@@ -310,6 +310,41 @@ def test_verify_triangular_design_on_cross_polytope():
     assert bad.max_error == pytest.approx(0.5, rel=1e-12)
 
 
+def _sweep_by_fsum(Z, t):
+    """The per-monomial reference: compensated real and imaginary sums of
+    each monomial's node values, the first largest error kept."""
+    pts = Z.points
+    N, d = pts.shape
+    worst, max_error, checked = ((0,) * d, (0,) * d), 0.0, 0
+    for alpha, beta in monomial_pairs(d, t):
+        vals = np.prod(pts**np.array(alpha) * np.conj(pts) ** np.array(beta),
+                       axis=1)
+        avg = complex(fsum(vals.real) / N, fsum(vals.imag) / N)
+        err = abs(avg - complex_monomial_integral(d, alpha, beta))
+        checked += 1
+        if err > max_error:
+            worst, max_error = (alpha, beta), err
+    return checked, worst, max_error
+
+
+@pytest.mark.parametrize("d, n, t, seed", [
+    (2, 30, 5, 312), (2, 60, 7, 313), (3, 40, 4, 314),
+    (2, 8, 5, None), (3, 12, 6, None),
+])
+def test_verify_matches_the_fsum_reference(d, n, t, seed):
+    if seed is None:
+        pts = _cross_polytope(2 * d).points
+    else:
+        pts = random_unit_points(np.random.default_rng(seed), n, 2 * d)
+    Z = ComplexPointSet(points=real_to_complex(pts))
+    report = verify_triangular_design(Z, t)
+    checked, worst, max_error = _sweep_by_fsum(Z, t)
+    assert report.checked == checked
+    assert report.worst_pair == worst
+    assert all(type(k) is int for part in report.worst_pair for k in part)
+    assert abs(report.max_error - max_error) <= 1e-15
+
+
 def test_verify_random_set_fails():
     rng = np.random.default_rng(308)
     Z = ComplexPointSet(points=real_to_complex(random_unit_points(rng, 28, 4)))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from cxdesign import criteria, metrics, optimize
 from cxdesign import (
@@ -428,3 +429,15 @@ def test_polish_row_blocks_do_not_change_the_bits(monkeypatch):
     assert np.array_equal(theta, theta_rows)
     assert np.array_equal(fun(theta), fun_rows(theta))
     assert np.array_equal(jac(theta), jac_rows(theta))
+
+
+def test_descent_that_raises_V_is_rejected(monkeypatch):
+    def rising(fun, x0, callback, **kwargs):
+        for V in (1.0, 0.5, 0.75):
+            callback(intermediate_result=OptimizeResult(x=x0, fun=V))
+        raise AssertionError("the guard let a rising V through")
+
+    monkeypatch.setattr(optimize, "minimize", rising)
+    cfg = OptimizerConfig(t=3, m=3, N=8, symmetric=True, seed=3)
+    with pytest.raises(RuntimeError, match="descent increased V"):
+        solve_feasibility(initial_configuration(cfg), cfg)

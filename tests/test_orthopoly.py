@@ -206,6 +206,20 @@ def test_jacobi_recurrence_accurate_to_degree_100():
         assert np.max(np.abs(p - ref)) < 1e-13
 
 
+def test_degrees_beyond_the_measured_range_are_rejected():
+    # the accuracy above is measured to degree 100, and nothing higher runs
+    assert orthopoly._MAX_DEGREE == 100
+    assert legendre_normalized(100, 3, 0.5) == pytest.approx(
+        float(_gegenbauer_exact(100, 3, Fraction(1, 2))), abs=1e-13)
+    ZonalKernel(100, 3)
+    for call in (lambda: ZonalKernel(101, 3),
+                 lambda: ZonalKernel(101, 3, symmetric_variant=True),
+                 lambda: zonal_psi(101, 3, 0.5),
+                 lambda: legendre_normalized(101, 3, 0.5)):
+        with pytest.raises(ValueError, match="100"):
+            call()
+
+
 def test_point_counts_formula_arithmetic():
     # the three counts re-derived from first principles
     for d in (2, 3, 4, 6):
