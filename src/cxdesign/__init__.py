@@ -6,126 +6,17 @@ drives the search), verified by exact monomial integration, and graded by
 geometric quality: separation, covering radius, and mesh ratio.
 """
 
-from .bridge import (
-    QuadratureRule,
-    demo_error_curve,
-    integrate,
-    inverse_square_distance,
-    map_design,
-    tight_design,
-    write_error_curve_csv,
-)
-from .criteria import (
-    DesignReport,
-    MonomialReport,
-    complex_monomial_integral,
-    is_spherical_design,
-    monomial_pairs,
-    per_degree_sums,
-    variational_gradient,
-    variational_value,
-    verify_triangular_design,
-)
-from .metrics import (
-    CoveringOptions,
-    MetricsReport,
-    covering_estimate,
-    mesh_ratio,
-    separation,
-    sorted_inner_products,
-    stereographic_inverse,
-    stereographic_projection,
-    write_covering_csv,
-    write_inner_products_csv,
-    write_stereographic_csv,
-)
-from .optimize import (
-    OptimizerConfig,
-    SolveResult,
-    find_design,
-    initial_configuration,
-    solve_feasibility,
-)
-from .orthopoly import (
-    PointCounts,
-    ZonalKernel,
-    dim_complex_harm,
-    dim_complex_space,
-    dim_harm,
-    legendre_normalized,
-    point_counts,
-    real_design_lower_bound,
-    zonal_psi,
-)
-from .sphere import (
-    ComplexPointSet,
-    RealPointSet,
-    angles_to_point,
-    complex_to_real,
-    geodesic_complex,
-    geodesic_real,
-    load_complex_pointset,
-    load_real_pointset,
-    point_to_angles,
-    real_to_complex,
-    save_pointset,
-    symmetrize,
-)
+from . import bridge, criteria, metrics, optimize, orthopoly, sphere
+from .bridge import *  # noqa: F401,F403
+from .criteria import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .orthopoly import *  # noqa: F401,F403
+from .sphere import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComplexPointSet",
-    "CoveringOptions",
-    "DesignReport",
-    "MetricsReport",
-    "MonomialReport",
-    "OptimizerConfig",
-    "PointCounts",
-    "QuadratureRule",
-    "RealPointSet",
-    "SolveResult",
-    "ZonalKernel",
-    "angles_to_point",
-    "complex_monomial_integral",
-    "complex_to_real",
-    "covering_estimate",
-    "demo_error_curve",
-    "dim_complex_harm",
-    "dim_complex_space",
-    "dim_harm",
-    "find_design",
-    "geodesic_complex",
-    "geodesic_real",
-    "initial_configuration",
-    "integrate",
-    "inverse_square_distance",
-    "is_spherical_design",
-    "legendre_normalized",
-    "load_complex_pointset",
-    "load_real_pointset",
-    "map_design",
-    "mesh_ratio",
-    "monomial_pairs",
-    "per_degree_sums",
-    "point_counts",
-    "point_to_angles",
-    "real_design_lower_bound",
-    "real_to_complex",
-    "save_pointset",
-    "separation",
-    "solve_feasibility",
-    "sorted_inner_products",
-    "stereographic_inverse",
-    "stereographic_projection",
-    "symmetrize",
-    "tight_design",
-    "variational_gradient",
-    "variational_value",
-    "verify_triangular_design",
-    "write_covering_csv",
-    "write_error_curve_csv",
-    "write_inner_products_csv",
-    "write_stereographic_csv",
-    "zonal_psi",
-]
+__all__ = sorted(
+    {name for mod in (bridge, criteria, metrics, optimize, orthopoly, sphere)
+     for name in mod.__all__}
+)

@@ -4,10 +4,8 @@ analytic tight families, and the inverse-square-distance integration demo.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import fsum
-from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +15,7 @@ from .criteria import (
     verify_triangular_design,
 )
 from .metrics import MetricsReport
-from .sphere import ComplexPointSet, RealPointSet, real_to_complex
+from .sphere import ComplexPointSet, RealPointSet, _write_csv, real_to_complex
 
 __all__ = [
     "QuadratureRule",
@@ -172,9 +170,4 @@ def demo_error_curve(rules, x0):
 
 def write_error_curve_csv(path, rows):
     """Columns: t, N, abs_error; one row per rule."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "N", "abs_error"])
-        for t, n, err in rows:
-            writer.writerow([t, n, f"{err:.16e}"])
-    return Path(path)
+    return _write_csv(path, ["t", "N", "abs_error"], rows)

@@ -8,7 +8,6 @@ a machine-readable artifact (SDF or CSV) and prints a short human summary.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .metrics import CoveringOptions, mesh_ratio
 from .optimize import OptimizerConfig, find_design
 from .orthopoly import dim_complex_space, point_counts
 from .sphere import (
+    _write_csv,
     load_complex_pointset,
     load_real_pointset,
     save_pointset,
@@ -162,15 +162,11 @@ def _cmd_verify(args):
         Z, _ = load_complex_pointset(args.file)
         report = verify_triangular_design(Z, args.degree, tol)
         out = args.out or _default_out(args.file, "verify")
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "N", "d", "max_error", "worst_alpha",
-                        "worst_beta", "checked", "passed"])
-            w.writerow([report.t, report.N, report.d,
-                        f"{report.max_error:.16e}",
-                        " ".join(map(str, report.worst_pair[0])),
-                        " ".join(map(str, report.worst_pair[1])),
-                        report.checked, report.passed])
+        alpha, beta = (" ".join(map(str, e)) for e in report.worst_pair)
+        _write_csv(out, ["t", "N", "d", "max_error", "worst_alpha",
+                         "worst_beta", "checked", "passed"],
+                   [[report.t, report.N, report.d, report.max_error, alpha,
+                     beta, report.checked, report.passed]])
         verdict = "PASS" if report.passed else "FAIL"
         print(
             f"verify (complex) t={args.degree} N={report.N} d={report.d}: "
@@ -182,11 +178,9 @@ def _cmd_verify(args):
     X, _ = load_real_pointset(args.file)
     report = is_spherical_design(X, args.degree, tol)
     out = args.out or _default_out(args.file, "verify")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ell", "W_ell", "W_ell_normalized"])
-        for ell, w_ell in enumerate(report.per_degree, start=1):
-            w.writerow([ell, f"{w_ell:.16e}", f"{w_ell / report.N**2:.16e}"])
+    _write_csv(out, ["ell", "W_ell", "W_ell_normalized"],
+               [[ell, w_ell, w_ell / report.N**2]
+                for ell, w_ell in enumerate(report.per_degree, start=1)])
     verdict = "PASS" if report.is_design else "FAIL"
     print(
         f"verify t={args.degree} N={report.N} on S^{X.m}: {verdict}\n"
@@ -201,14 +195,10 @@ def _cmd_metrics(args):
     opts = CoveringOptions(seeds=args.seeds, seed=args.seed)
     report = mesh_ratio(X, opts)
     out = args.out or _default_out(args.file, "metrics")
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N", "separation", "covering", "covering_uncertainty",
-                    "mesh_ratio"])
-        w.writerow([report.N, f"{report.separation:.16e}",
-                    f"{report.covering:.16e}",
-                    f"{report.covering_uncertainty:.16e}",
-                    f"{report.mesh_ratio:.16e}"])
+    _write_csv(out, ["N", "separation", "covering", "covering_uncertainty",
+                     "mesh_ratio"],
+               [[report.N, report.separation, report.covering,
+                 report.covering_uncertainty, report.mesh_ratio]])
     print(
         f"metrics N={report.N} on S^{X.m}:\n"
         f"  separation    = {report.separation:.6f}\n"
@@ -266,12 +256,7 @@ def _cmd_integrate(args):
         print(f"error: bad --x0: {exc}", file=sys.stderr)
         return 2
     t = int(header.get("degree", 0))
-    rule = QuadratureRule(nodes=Z, degree_claim=t)
-    try:
-        rows = demo_error_curve([rule], x0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = demo_error_curve([QuadratureRule(nodes=Z, degree_claim=t)], x0)
     out = args.out or _default_out(args.file, "integrate")
     write_error_curve_csv(out, rows)
     _, n, err = rows[0]
@@ -286,9 +271,6 @@ def _cmd_integrate(args):
 
 def _cmd_counts(args):
     d, t = args.complex_dim, args.degree
-    if d < 2 or t < 1:
-        print("error: need d >= 2 and t >= 1", file=sys.stderr)
-        return 2
     counts = point_counts(d, t)
     dim = dim_complex_space(d, t)
     header = ["d", "t", "dim_poly_space", "nstar", "nhat", "nbar"]
@@ -302,10 +284,7 @@ def _cmd_counts(args):
         f"{counts.nbar if counts.nbar is not None else 'n/a (even t)'}"
     )
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerow(row)
+        _write_csv(args.out, header, [row])
         print(f"wrote {args.out}")
     return 0
 

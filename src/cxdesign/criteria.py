@@ -81,19 +81,32 @@ def _pair_sum(values):
     return fsum(np.sum(values, axis=1))
 
 
+def _variational_evaluator(t, m, symmetric):
+    """The search objective on S^m: rows X -> (V, ambient gradient).
+
+    V = (1/n^2) sum_{i,j} psi_t(x_i . x_j) with the scaled zonal kernel
+    (its symmetric variant for the generators of a symmetric set), and row i
+    of the gradient is (2/n^2) sum_j psi'(x_i . x_j) x_j. The kernel is
+    built once per evaluator.
+    """
+    kernel = ZonalKernel(t, m, symmetric_variant=symmetric)
+
+    def evaluate(X):
+        n = X.shape[0]
+        vals, ders = kernel(np.clip(X @ X.T, -1.0, 1.0))
+        return float(np.sum(vals)) / n**2, (2.0 / n**2) * (ders @ X)
+
+    return evaluate
+
+
 def variational_value(X, t):
     """The variational design criterion V for degree t.
 
-    V = (1/N^2) sum_{i,j} psi_t(x_i . x_j) with the scaled zonal kernel; it
-    is nonnegative up to rounding and vanishes exactly on t-designs.
+    V = (1/N^2) sum_{i,j} psi_t(x_i . x_j) with the scaled zonal kernel,
+    taken as the V of is_spherical_design: the same number `verify`
+    reports, never negative, and zero exactly on t-designs.
     """
-    _require_points(X)
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    kernel = ZonalKernel(t, X.m)
-    gram = np.clip(X.points @ X.points.T, -1.0, 1.0)
-    vals, _ = kernel(gram)
-    return _pair_sum(vals) / X.npoints**2
+    return is_spherical_design(X, t).V
 
 
 def variational_gradient(X, t):
@@ -107,16 +120,8 @@ def variational_gradient(X, t):
     _require_points(X)
     if t < 1:
         raise ValueError("t must be at least 1")
-    if X.symmetric:
-        gen = X.points[: X.npoints // 2]
-        kernel = ZonalKernel(t, X.m, symmetric_variant=True)
-    else:
-        gen = X.points
-        kernel = ZonalKernel(t, X.m)
-    n = gen.shape[0]
-    gram = np.clip(gen @ gen.T, -1.0, 1.0)
-    _, ders = kernel(gram)
-    grad = (2.0 / n**2) * (ders @ gen)
+    gen = X.points[: X.npoints // 2] if X.symmetric else X.points
+    _, grad = _variational_evaluator(t, X.m, X.symmetric)(gen)
     radial = np.sum(grad * gen, axis=1, keepdims=True)
     return grad - radial * gen
 
@@ -139,7 +144,7 @@ def per_degree_sums(X, t):
 
 def is_spherical_design(X, t, tol=1e-12):
     """Check the real design property at degree t; returns a DesignReport."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     W = per_degree_sums(X, t)
     nsq = X.npoints**2
@@ -238,7 +243,7 @@ def verify_triangular_design(Z, t, tol=1e-10):
         raise TypeError("expected a ComplexPointSet")
     if t < 1:
         raise ValueError("t must be at least 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     pts = Z.points
     N, d = pts.shape

@@ -38,15 +38,13 @@ list and evaluates the normals in the same row blocks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import ndtri
 
-from .sphere import ComplexPointSet, RealPointSet, complex_to_real
+from .sphere import ComplexPointSet, RealPointSet, _write_csv, complex_to_real
 
 __all__ = [
     "CoveringOptions",
@@ -318,16 +316,16 @@ def covering_estimate(X, opts=None):
 
 
 def mesh_ratio(X, opts=None):
-    """Separation, covering, and their ratio 2*covering/separation."""
+    """Separation, covering, and their ratio 2*covering/separation, which
+    is inf when two points coincide (separation 0)."""
     sep = separation(X)
     cov, unc = covering_estimate(X, opts)
-    pts = _real_matrix(X)
     return MetricsReport(
         separation=sep,
         covering=cov,
         covering_uncertainty=unc,
-        mesh_ratio=2.0 * cov / sep,
-        N=pts.shape[0],
+        mesh_ratio=2.0 * cov / sep if sep > 0.0 else float("inf"),
+        N=_real_matrix(X).shape[0],
     )
 
 
@@ -378,22 +376,10 @@ def stereographic_inverse(Y, pole=(1.0, 0.0, 0.0, 0.0)):
     return W @ H
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_inner_products_csv(path, X):
     """Columns: rank, inner_product (descending)."""
     vals = sorted_inner_products(X)
-    _write_rows(
-        path,
-        ["rank", "inner_product"],
-        [(i + 1, f"{v:.16e}") for i, v in enumerate(vals)],
-    )
-    return Path(path)
+    return _write_csv(path, ["rank", "inner_product"], enumerate(vals, start=1))
 
 
 def write_covering_csv(path, X, opts=None):
@@ -406,20 +392,9 @@ def write_covering_csv(path, X, opts=None):
     """
     F, _ = _candidates(_real_matrix(X), opts or CoveringOptions())
     F = np.sort(F)[::-1]
-    _write_rows(
-        path,
-        ["rank", "local_max_radians"],
-        [(i + 1, f"{v:.16e}") for i, v in enumerate(F)],
-    )
-    return Path(path)
+    return _write_csv(path, ["rank", "local_max_radians"], enumerate(F, start=1))
 
 
 def write_stereographic_csv(path, X, pole=(1.0, 0.0, 0.0, 0.0)):
     """Columns: y1, y2, y3, one row per point, same order as the input."""
-    img = stereographic_projection(X, pole)
-    _write_rows(
-        path,
-        ["y1", "y2", "y3"],
-        [tuple(f"{v:.16e}" for v in row) for row in img],
-    )
-    return Path(path)
+    return _write_csv(path, ["y1", "y2", "y3"], stereographic_projection(X, pole))

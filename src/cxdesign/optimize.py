@@ -18,7 +18,6 @@ stopping rule.
 
 from __future__ import annotations
 
-import csv
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -28,12 +27,18 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 from scipy.special import betaincinv
 
-from .criteria import is_spherical_design, monomial_exponents, real_sphere_moment
+from .criteria import (
+    _variational_evaluator,
+    is_spherical_design,
+    monomial_exponents,
+    real_sphere_moment,
+)
 from .metrics import CoveringOptions, MetricsReport, mesh_ratio
-from .orthopoly import ZonalKernel, real_design_lower_bound
+from .orthopoly import real_design_lower_bound
 from .sphere import (
     RealPointSet,
     _angles_to_points,
+    _write_csv,
     load_real_pointset,
     point_to_angles,
     symmetrize,
@@ -75,7 +80,7 @@ class OptimizerConfig:
             raise ValueError("symmetric mode needs an even N")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.feasibility_tol <= 0.0:
+        if not self.feasibility_tol > 0.0:
             raise ValueError("feasibility_tol must be positive")
         if self.init_strategy not in _INIT_STRATEGIES:
             raise ValueError(f"init_strategy must be one of {_INIT_STRATEGIES}")
@@ -227,18 +232,13 @@ def _canonicalize(G):
 
 
 def _objective_factory(cfg, phi0, flat_idx):
-    n, m = phi0.shape
-    kernel = ZonalKernel(cfg.t, cfg.m, symmetric_variant=cfg.symmetric)
+    evaluate = _variational_evaluator(cfg.t, cfg.m, cfg.symmetric)
     base = phi0.copy()
 
     def fun(theta):
         phi = base.copy()
         phi.ravel()[flat_idx] = theta
-        X = _angles_to_points(phi)
-        U = np.clip(X @ X.T, -1.0, 1.0)
-        vals, ders = kernel(U)
-        V = float(np.sum(vals)) / n**2
-        gX = (2.0 / n**2) * (ders @ X)
+        V, gX = evaluate(_angles_to_points(phi))
         gphi = _angle_gradient(phi, gX)
         return V, gphi.ravel()[flat_idx]
 
@@ -421,7 +421,8 @@ def _run_restart(args):
 def find_design(cfg, log_csv=None, threads=1):
     """Multistart search: best mesh ratio among converged restarts wins.
 
-    Ties go to the earlier restart. If nothing converges, the result with
+    Ties go to the earlier restart, and a restart whose points coincide
+    (mesh ratio inf) ranks last. If nothing converges, the result with
     the smallest V is returned with converged=False. log_csv, when given,
     receives one row per restart: restart, iterations, final_V, separation,
     covering, mesh_ratio. threads is the number of worker processes, 0 for
@@ -441,19 +442,13 @@ def find_design(cfg, log_csv=None, threads=1):
     results = [res for _, res in outcomes]
 
     if log_csv is not None:
-        with open(log_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["restart", "iterations", "final_V", "separation",
-                 "covering", "mesh_ratio"]
-            )
-            for r, res in outcomes:
-                writer.writerow(
-                    [r, res.iterations, f"{res.final_V:.16e}",
-                     f"{res.metrics.separation:.16e}",
-                     f"{res.metrics.covering:.16e}",
-                     f"{res.mesh_ratio:.16e}"]
-                )
+        _write_csv(
+            log_csv,
+            ["restart", "iterations", "final_V", "separation", "covering",
+             "mesh_ratio"],
+            [[r, res.iterations, res.final_V, res.metrics.separation,
+              res.metrics.covering, res.mesh_ratio] for r, res in outcomes],
+        )
 
     converged = [res for res in results if res.converged]
     if converged:

@@ -8,7 +8,8 @@ equal real parts of Hermitian inner products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ class RealPointSet:
     def __post_init__(self):
         arr = _as_matrix(self.points, float)
         norms = np.linalg.norm(arr, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _NORM_TOL:
+        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
             raise ValueError("points must lie on the unit sphere")
         if self.symmetric:
             n = arr.shape[0]
@@ -88,7 +89,7 @@ class ComplexPointSet:
     def __post_init__(self):
         arr = _as_matrix(self.points, complex)
         norms = np.linalg.norm(arr, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _NORM_TOL:
+        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
             raise ValueError("points must lie on the complex unit sphere")
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
@@ -210,7 +211,22 @@ def symmetrize(X):
 # row with 17 significant digits. Real rows have m+1 columns; complex rows
 # interleave re,im for 2d columns. The `dim` key records the column count.
 # Headerless files are accepted, with the dimension inferred from the columns.
+# CSV artifacts share the cell format: floats with 17 significant digits,
+# everything else through str.
 # ---------------------------------------------------------------------------
+
+
+def _cell(value):
+    return f"{value:.16e}" if isinstance(value, float) else str(value)
+
+
+def _write_csv(path, header, rows):
+    """Write a header row and the rows as UTF-8 CSV; returns Path(path)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return Path(path)
 
 
 def _format_header(header):
@@ -244,7 +260,7 @@ def save_pointset(path, X, degree=None, extra_header=None):
         header.update(extra_header)
     lines = _format_header(header)
     for row in matrix:
-        lines.append(" ".join(f"{v:.16e}" for v in row))
+        lines.append(" ".join(_cell(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -12,6 +12,7 @@ import pytest
 from cxdesign import (
     RealPointSet,
     load_complex_pointset,
+    mesh_ratio,
     load_real_pointset,
     save_pointset,
 )
@@ -50,7 +51,7 @@ def test_counts_writes_csv(tmp_path, capsys):
 
 def test_counts_rejects_bad_dimension(capsys):
     assert run(["counts", "--complex-dim", "1", "--degree", "3"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: need d >= 2 and t >= 1\n"
 
 
 def test_tight_verify_roundtrip(tmp_path, capsys):
@@ -304,3 +305,31 @@ def test_integrate_input_validation(tmp_path, capsys):
     # pole inside the sphere
     assert run(["integrate", str(d2), "--x0", "0.1,0.1"]) == 2
     capsys.readouterr()
+
+
+def test_nan_coordinates_exit_two(tmp_path, capsys):
+    # the C^2 cross-polytope with one NaN entry: the monomial sweep skips
+    # NaN errors, so without the container check it certifies the file
+    pts = np.vstack([np.eye(4), -np.eye(4)])
+    pts[0, 0] = np.nan
+    sdf = tmp_path / "nan.sdf"
+    sdf.write_text("\n".join(" ".join(map(str, row)) for row in pts) + "\n")
+    assert run(["verify", str(sdf), "--degree", "3"]) == 2
+    assert run(["verify", str(sdf), "--degree", "3", "--complex"]) == 2
+    assert run(["map", str(sdf), "--degree", "3",
+                "--out", str(tmp_path / "nanc.sdf")]) == 2
+    assert capsys.readouterr().err.count("unit sphere") == 3
+
+
+def test_coincident_points_have_infinite_mesh_ratio(tmp_path, capsys):
+    pts = np.vstack([np.eye(4), -np.eye(4), np.eye(4)[:1]])
+    report = mesh_ratio(RealPointSet(points=pts))
+    assert report.separation == 0.0
+    assert report.mesh_ratio == float("inf")
+    sdf = tmp_path / "rep.sdf"
+    save_pointset(sdf, RealPointSet(points=pts))
+    assert run(["metrics", str(sdf)]) == 0
+    with open(tmp_path / "rep.metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][4] == "inf"
+    assert "mesh ratio    = inf" in capsys.readouterr().out

@@ -16,6 +16,7 @@ import pytest
 
 from cxdesign import (
     ComplexPointSet,
+    OptimizerConfig,
     RealPointSet,
     complex_monomial_integral,
     dim_harm,
@@ -363,3 +364,16 @@ def test_input_validation():
         complex_monomial_integral(2, (1,), (1, 0))
     with pytest.raises(ValueError):
         complex_monomial_integral(2, (-1, 0), (0, 0))
+
+
+def test_nan_tolerance_is_rejected():
+    # tol <= 0 is False for NaN, so a NaN tolerance used to pass the check
+    cp = _cross_polytope(4)
+    Z = ComplexPointSet(points=real_to_complex(cp.points))
+    nan = float("nan")
+    with pytest.raises(ValueError, match="tol"):
+        is_spherical_design(cp, 3, tol=nan)
+    with pytest.raises(ValueError, match="tol"):
+        verify_triangular_design(Z, 3, tol=nan)
+    with pytest.raises(ValueError, match="tol"):
+        OptimizerConfig(t=3, m=3, N=8, feasibility_tol=nan)

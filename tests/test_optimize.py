@@ -11,13 +11,14 @@ import subprocess
 import sys
 import textwrap
 import types
+from math import fsum
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from cxdesign import criteria, metrics, optimize
+from cxdesign import metrics, optimize
 from cxdesign import (
     OptimizerConfig,
     RealPointSet,
@@ -30,6 +31,7 @@ from cxdesign import (
     solve_feasibility,
     symmetrize,
     variational_value,
+    zonal_psi,
 )
 from cxdesign.criteria import monomial_exponents, real_sphere_moment
 from cxdesign.optimize import (
@@ -266,9 +268,19 @@ def test_final_V_is_nonnegative_and_matches_the_kernel_sum():
     loose = OptimizerConfig(t=4, m=3, N=60, feasibility_tol=1.0)
     early = solve_feasibility(X, loose)
     assert early.iterations == 0
-    assert early.final_V == pytest.approx(
-        criteria.variational_value(X, 4), rel=1e-12, abs=1e-15
-    )
+    vals, _ = zonal_psi(4, 3, np.clip(X.points @ X.points.T, -1.0, 1.0))
+    kernel_sum = fsum(vals.ravel()) / X.npoints**2
+    assert early.final_V == pytest.approx(kernel_sum, rel=1e-12, abs=1e-15)
+
+
+def test_variational_value_is_the_reported_V(design_library):
+    # the kernel pair sum of a converged design rounds to about -1e-15;
+    # variational_value reports the verdict's V, so it matches final_V
+    result = design_library.get(2, 5)
+    assert result.converged
+    V = variational_value(result.points, 5)
+    assert V == result.final_V
+    assert V >= 0.0
 
 
 def test_unit_norm_check_survives_optimized_mode(monkeypatch):

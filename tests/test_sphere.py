@@ -1,4 +1,6 @@
-"""Point containers, angle charts, the real/complex fold, and SDF files."""
+"""Point containers, angle charts, the real/complex fold, SDF and CSV files."""
+
+import csv
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cxdesign import (
     save_pointset,
     symmetrize,
 )
+from cxdesign.sphere import _write_csv
 from conftest import random_unit_points
 
 
@@ -33,6 +36,17 @@ def test_pointset_validation():
     assert sym.symmetric
     with pytest.raises(ValueError, match="empty"):
         RealPointSet(points=np.empty((0, 4)))
+
+
+def test_pointsets_reject_nan_coordinates():
+    # a NaN norm compares False against any bound, so the check must ask
+    # for every norm to be close to 1, not for none to be far
+    real = np.vstack([np.eye(4), -np.eye(4)])
+    real[0, 0] = np.nan
+    with pytest.raises(ValueError, match="unit sphere"):
+        RealPointSet(points=real)
+    with pytest.raises(ValueError, match="unit sphere"):
+        ComplexPointSet(points=real_to_complex(real))
 
 
 def test_complex_pointset_dimensions():
@@ -178,3 +192,17 @@ def test_sdf_malformed_rejected(tmp_path):
     odd_cols.write_text("1.0 0.0 0.0\n")
     with pytest.raises(ValueError):
         load_complex_pointset(odd_cols)
+
+
+def test_write_csv_cell_formats(tmp_path):
+    path = tmp_path / "cells.csv"
+    row = [0.1, np.float64(-2.5), 7, True, "1 0", float("inf")]
+    assert _write_csv(path, ["a", "b", "c", "d", "e", "f"], [row]) == path
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["a", "b", "c", "d", "e", "f"],
+        ["1.0000000000000001e-01", "-2.5000000000000000e+00", "7", "True",
+         "1 0", "inf"],
+    ]
+    assert path.read_bytes().count(b"\r\n") == 2
