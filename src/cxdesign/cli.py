@@ -8,6 +8,9 @@ a machine-readable artifact (SDF or CSV) and prints a short human summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import sys
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from .metrics import CoveringOptions, mesh_ratio
 from .optimize import OptimizerConfig, find_design
 from .orthopoly import dim_complex_space, point_counts
 from .sphere import (
+    _BLOCK_BYTES,
     _write_csv,
     load_complex_pointset,
     load_real_pointset,
@@ -32,6 +36,28 @@ from .sphere import (
 )
 
 __all__ = ["run", "main"]
+
+# mallopt parameter numbers from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _pin_malloc_thresholds():
+    """Give every block above the row-block budget a mapping of its own.
+
+    glibc raises its mmap threshold to the size of each large block it
+    frees, so when run() is called again and again in one process, later
+    large arrays come from the heap; a small live block left between them
+    then sends the next one to fresh pages while the freed ones stay
+    resident, and the peak RSS jumps by a whole array now and then. Fixed
+    thresholds (trim at twice the mmap one, as glibc pairs them) keep large
+    blocks off the heap. Without glibc's mallopt this does nothing.
+    """
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_TRIM_THRESHOLD, 2 * _BLOCK_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _BLOCK_BYTES)
 
 
 def _build_parser():
@@ -53,8 +79,9 @@ def _build_parser():
     g.add_argument("--max-iterations", type=int, default=100000)
     g.add_argument(
         "--init-strategy",
-        choices=("random_uniform", "spiral_like", "file"),
+        choices=("random_uniform", "file"),
         default="random_uniform",
+        help="file requires --init-file, which alone selects the file start",
     )
     g.add_argument("--init-file", default=None)
     g.add_argument("--threads", type=int, default=1,
@@ -127,6 +154,9 @@ def _cmd_gen(args):
     if d < 1 or t < 1:
         print("error: need d >= 1 and t >= 1", file=sys.stderr)
         return 2
+    if args.init_strategy == "file" and not args.init_file:
+        print("error: --init-strategy file needs --init-file", file=sys.stderr)
+        return 2
     N = args.points if args.points is not None else _default_points(
         d, t, args.symmetric
     )
@@ -139,7 +169,6 @@ def _cmd_gen(args):
         max_iterations=args.max_iterations,
         feasibility_tol=args.tol,
         seed=args.seed,
-        init_strategy=args.init_strategy,
         init_file=args.init_file,
     )
     result = find_design(cfg, log_csv=args.log_csv, threads=args.threads)
@@ -316,6 +345,7 @@ def _join_x0(argv):
 
 
 def run(argv=None):
+    _pin_malloc_thresholds()
     parser = _build_parser()
     argv = _join_x0(sys.argv[1:] if argv is None else argv)
     try:

@@ -19,8 +19,8 @@ certified lower bound on the true covering radius.
   sets whose hull misses the origin (too few points, or all in one closed
   hemisphere). The ascent starts from the best net points and every
   point's far pole, and only ever accepts steps that improve the exact
-  objective. The reported uncertainty is the covering radius of the start
-  net itself, bounded by pi * seeds**(-1/m).
+  objective. The reported uncertainty is the net's nominal resolution,
+  pi * seeds**(-1/m), which is not a proven bound for this net.
 
 _HULL_MAX_DIM is measured, not a knob. On a 2-core machine, for 3642 random
 points, the hull path takes 0.12 s on S^3 and 7 s on S^5 (549k facets). On
@@ -29,7 +29,7 @@ where the net is faster.
 
 Memory stays bounded in N on the net path. Seeding draws the net _CHUNK
 rows at a time and ranks each chunk by its nearest-point inner products
-taken in row blocks of at most _BLOCK_BYTES, so it needs
+taken in row blocks of at most sphere._BLOCK_BYTES, so it needs
 O(_CHUNK * dim + _BLOCK_BYTES) whatever the point count. Refinement takes
 the inner products of its N + _TOP_K starts in row blocks of the same size,
 so it needs O((N + 48) * dim + _BLOCK_BYTES). The hull path holds the facet
@@ -44,7 +44,13 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 from scipy.special import ndtri
 
-from .sphere import ComplexPointSet, RealPointSet, _write_csv, complex_to_real
+from .sphere import (
+    ComplexPointSet,
+    RealPointSet,
+    _block_rows,
+    _write_csv,
+    complex_to_real,
+)
 
 __all__ = [
     "CoveringOptions",
@@ -54,9 +60,7 @@ __all__ = [
     "mesh_ratio",
     "sorted_inner_products",
     "stereographic_projection",
-    "stereographic_inverse",
     "write_inner_products_csv",
-    "write_covering_csv",
     "write_stereographic_csv",
 ]
 
@@ -64,7 +68,6 @@ _SEED_FACTOR = 4096
 _SEED_CAP = 2**22
 _CHUNK = 2**18
 _TOP_K = 48
-_BLOCK_BYTES = 2**20
 _HULL_MAX_DIM = 6
 
 
@@ -109,14 +112,26 @@ def _real_matrix(X):
 
 
 def separation(X):
-    """Smallest pairwise geodesic distance, exact up to arccos rounding."""
+    """Smallest pairwise geodesic distance, from the largest inner product.
+
+    arccos cannot resolve angles whose inner product is within rounding of
+    1 (coincident points give 1.5e-8), so there the pairs tied with the
+    largest entry are measured by their chords, 2 arcsin(|x - y| / 2), and
+    the smallest wins: coincident points give exactly 0.
+    """
     pts = _real_matrix(X)
-    n = pts.shape[0]
-    if n < 2:
+    if pts.shape[0] < 2:
         raise ValueError("separation needs at least 2 points")
     gram = pts @ pts.T
     np.fill_diagonal(gram, -2.0)
-    return float(np.arccos(np.clip(np.max(gram), -1.0, 1.0)))
+    top = np.max(gram)
+    # inner products of unit vectors in R^dim round by up to ~dim/2 ulps
+    tie = pts.shape[1] * np.finfo(float).eps
+    if top < 1.0 - tie:
+        return float(np.arccos(np.clip(top, -1.0, 1.0)))
+    i, j = np.nonzero(gram >= top - tie)
+    chord = np.min(np.linalg.norm(pts[i] - pts[j], axis=1))
+    return 2.0 * float(np.arcsin(0.5 * chord))
 
 
 def sorted_inner_products(X):
@@ -150,7 +165,7 @@ def _net_on_sphere(n, dim, engine):
 def _max_inner(Y, pts):
     """Row maxima of Y @ pts.T, built in row blocks of at most _BLOCK_BYTES."""
     n = Y.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * pts.shape[0]))
+    rows = _block_rows(8 * pts.shape[0])
     ptsT = np.ascontiguousarray(pts.T)
     block = np.empty((min(rows, n), pts.shape[0]))
     out = np.empty(n)
@@ -198,7 +213,7 @@ def _refine(Y, pts, iters):
     taus = np.geomspace(0.5, 1e-10, max(iters, 2))
     F = _exact_min_dist(Y, pts)
     h = np.full(Y.shape[0], 0.05)
-    rows = max(1, _BLOCK_BYTES // (8 * pts.shape[0]))
+    rows = _block_rows(8 * pts.shape[0])
     G = np.empty_like(Y)
     for tau in taus[:iters]:
         for lo in range(0, Y.shape[0], rows):
@@ -246,7 +261,7 @@ def _net_candidates(pts, opts):
     """Refined ascent values from the best net points and every far pole.
 
     Returns (values, uncertainty): one exact min-distance per ascent start,
-    in start order, and the resolution of the net actually drawn.
+    in start order, and the nominal resolution of the net actually drawn.
     """
     seeds = _SEED_FACTOR * pts.shape[0] if opts.seeds is None else opts.seeds
     seeds = min(_SEED_CAP, 2 ** int(np.ceil(np.log2(seeds))))
@@ -279,7 +294,7 @@ def _hull_candidates(pts):
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     values = _exact_min_dist(normals, pts)
     dim = pts.shape[1]
-    rows = max(1, _BLOCK_BYTES // (8 * dim * dim))
+    rows = _block_rows(8 * dim * dim)
     spread = 0.0
     for lo in range(0, normals.shape[0], rows):
         own = pts[hull.simplices[lo : lo + rows]]
@@ -289,29 +304,21 @@ def _hull_candidates(pts):
     return values, spread + 2.0 * np.spacing(np.pi)
 
 
-def _candidates(pts, opts):
-    """Covering candidates and their uncertainty from the hull or the net.
-
-    Returns (values, uncertainty): one exact min-distance per candidate.
-    """
-    if pts.shape[1] <= _HULL_MAX_DIM:
-        found = _hull_candidates(pts)
-        if found is not None:
-            return found
-    return _net_candidates(pts, opts)
-
-
 def covering_estimate(X, opts=None):
     """Estimate the covering radius; returns (value, uncertainty).
 
     The value is a certified lower bound: the exact min-distance at the best
     candidate. On the hull path (S^3 and S^5 with the origin inside the hull)
     it is the covering radius up to rounding and the uncertainty estimates
-    that rounding (1e-15 to 1e-14 in practice). On the net path the uncertainty is the
-    resolution of the start net, pi * seeds**(-1/m); the refinement
-    typically does far better, but only the net density is guaranteed.
+    that rounding (1e-15 to 1e-14 in practice). On the net path it is the
+    start net's nominal resolution pi * seeds**(-1/m), not a proven bound;
+    the refinement typically does far better.
     """
-    F, uncertainty = _candidates(_real_matrix(X), opts or CoveringOptions())
+    pts = _real_matrix(X)
+    found = _hull_candidates(pts) if pts.shape[1] <= _HULL_MAX_DIM else None
+    if found is None:
+        found = _net_candidates(pts, opts or CoveringOptions())
+    F, uncertainty = found
     return float(np.max(F)), float(uncertainty)
 
 
@@ -344,11 +351,12 @@ def _pole_frame(pole):
     return H
 
 
-def stereographic_projection(X, pole=(1.0, 0.0, 0.0, 0.0)):
+def stereographic_projection(X, pole):
     """Stereographic image in R^3 of points on S^3 from the given pole.
 
     The pole's antipode maps to the origin and the orthogonal equator maps
-    to the unit sphere. Points may not coincide with the pole.
+    to the unit sphere. Points may not coincide with the pole; the search
+    puts every design's first point at e_1, so no pole is a safe default.
     """
     pts = _real_matrix(X)
     if pts.shape[1] != 4:
@@ -361,40 +369,12 @@ def stereographic_projection(X, pole=(1.0, 0.0, 0.0, 0.0)):
     return W[:, 1:] / denom[:, None]
 
 
-def stereographic_inverse(Y, pole=(1.0, 0.0, 0.0, 0.0)):
-    """Inverse of stereographic_projection; returns points on S^3."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y.reshape(1, -1)
-    if Y.shape[1] != 3:
-        raise ValueError("expected R^3 coordinates")
-    H = _pole_frame(pole)
-    r2 = np.sum(Y * Y, axis=1)
-    W = np.empty((Y.shape[0], 4))
-    W[:, 0] = (r2 - 1.0) / (r2 + 1.0)
-    W[:, 1:] = 2.0 * Y / (r2 + 1.0)[:, None]
-    return W @ H
-
-
 def write_inner_products_csv(path, X):
     """Columns: rank, inner_product (descending)."""
     vals = sorted_inner_products(X)
     return _write_csv(path, ["rank", "inner_product"], enumerate(vals, start=1))
 
 
-def write_covering_csv(path, X, opts=None):
-    """Columns: rank, local_max_radians for every covering candidate.
-
-    Candidates are the hull's facet normals (the spherical Voronoi vertices)
-    on the hull path and the refined ascent starts on the net path. The
-    first row is the covering estimate itself; on the net path the spread
-    of the rest shows how many distinct basins the search explored.
-    """
-    F, _ = _candidates(_real_matrix(X), opts or CoveringOptions())
-    F = np.sort(F)[::-1]
-    return _write_csv(path, ["rank", "local_max_radians"], enumerate(F, start=1))
-
-
-def write_stereographic_csv(path, X, pole=(1.0, 0.0, 0.0, 0.0)):
+def write_stereographic_csv(path, X, pole):
     """Columns: y1, y2, y3, one row per point, same order as the input."""
     return _write_csv(path, ["y1", "y2", "y3"], stereographic_projection(X, pole))

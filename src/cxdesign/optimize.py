@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
-from scipy.special import betaincinv
 
 from .criteria import (
     _variational_evaluator,
@@ -38,6 +37,7 @@ from .orthopoly import real_design_lower_bound
 from .sphere import (
     RealPointSet,
     _angles_to_points,
+    _block_rows,
     _write_csv,
     load_real_pointset,
     point_to_angles,
@@ -52,13 +52,6 @@ __all__ = [
     "find_design",
 ]
 
-_INIT_STRATEGIES = ("random_uniform", "spiral_like", "file")
-# Byte budget per row block of the polish's (dim, rows, n) monomial tables,
-# so its memory beyond the Jacobian stays flat in the row count (24615 rows
-# at symmetric t = 31 on S^3). At t = 13, N = 308 a Jacobian took 27 ms at
-# 13 MB peak this way, 46 ms at 37 MB as one block.
-_TABLE_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -70,7 +63,6 @@ class OptimizerConfig:
     max_iterations: int = 100000
     feasibility_tol: float = 1e-12
     seed: int = 0
-    init_strategy: str = "random_uniform"
     init_file: str | None = None
 
     def __post_init__(self):
@@ -82,10 +74,6 @@ class OptimizerConfig:
             raise ValueError("restarts must be >= 1")
         if not self.feasibility_tol > 0.0:
             raise ValueError("feasibility_tol must be positive")
-        if self.init_strategy not in _INIT_STRATEGIES:
-            raise ValueError(f"init_strategy must be one of {_INIT_STRATEGIES}")
-        if self.init_strategy == "file" and not self.init_file:
-            raise ValueError("init_strategy 'file' needs init_file")
         nstar = real_design_lower_bound(self.m, self.t)
         if self.N < nstar:
             warnings.warn(
@@ -119,66 +107,31 @@ def _generator_count(cfg):
     return cfg.N // 2 if cfg.symmetric else cfg.N
 
 
-def _kronecker_gammas(m):
-    # powers of the root of x**(m+1) = x + 1, the standard generalization
-    # of the golden-ratio lattice to m dimensions
-    phi = 2.0
-    for _ in range(64):
-        phi = (1.0 + phi) ** (1.0 / (m + 1))
-    return np.array([(1.0 / phi) ** (k + 1) % 1.0 for k in range(m)])
-
-
-def _angles_from_unit_cube(U):
-    """Map rows of U in [0,1)^m to spherical angles with the uniform law."""
-    n, m = U.shape
-    phi = np.empty_like(U)
-    for k in range(m - 1):
-        a = 0.5 * (m - k)
-        c = 2.0 * betaincinv(a, a, U[:, k]) - 1.0
-        phi[:, k] = np.arccos(c)
-    phi[:, m - 1] = 2.0 * np.pi * U[:, m - 1]
-    return phi
-
-
 def initial_configuration(cfg, restart=0):
     """Build the starting point set for the given restart index.
 
-    random_uniform draws normalized Gaussian vectors; spiral_like places a
-    Kronecker lattice on the angle cube and pushes it through the inverse
-    CDF of each angle's marginal, giving a well-spread deterministic
-    configuration (randomly shifted on later restarts); file loads an SDF
-    file (the same start for every restart). Symmetric configurations
-    generate N/2 points and append exact antipodes.
+    With cfg.init_file set, the start is that SDF file (the same for every
+    restart); otherwise it is normalized Gaussian vectors drawn from
+    (cfg.seed, restart). Symmetric configurations generate N/2 points and
+    append exact antipodes.
     """
     n = _generator_count(cfg)
-    rng = np.random.default_rng((cfg.seed, restart))
-    if cfg.init_strategy == "random_uniform":
+    if cfg.init_file is None:
+        rng = np.random.default_rng((cfg.seed, restart))
         G = rng.standard_normal((n, cfg.m + 1))
         G /= np.linalg.norm(G, axis=1, keepdims=True)
-    elif cfg.init_strategy == "spiral_like":
-        gammas = _kronecker_gammas(cfg.m)
-        shift = np.full(cfg.m, 0.5) if restart == 0 else rng.random(cfg.m)
-        idx = np.arange(1, n + 1)[:, None]
-        U = (idx * gammas[None, :] + shift[None, :]) % 1.0
-        phi = _angles_from_unit_cube(U)
-        G = _angles_to_points(phi)
     else:
         X, _ = load_real_pointset(cfg.init_file)
         if X.m != cfg.m:
             raise ValueError(
                 f"init file lives on S^{X.m}, config expects S^{cfg.m}"
             )
-        if cfg.symmetric:
-            if X.npoints == cfg.N and X.symmetric:
-                G = np.array(X.points[: n])
-            elif X.npoints == n:
-                G = np.array(X.points)
-            else:
-                raise ValueError("init file size does not match N")
-        else:
-            if X.npoints != cfg.N:
-                raise ValueError("init file size does not match N")
+        if cfg.symmetric and X.symmetric and X.npoints == cfg.N:
+            G = np.array(X.points[:n])
+        elif X.npoints == n:
             G = np.array(X.points)
+        else:
+            raise ValueError("init file size does not match N")
     return _full_pointset(cfg, G)
 
 
@@ -268,7 +221,9 @@ def _polish(cfg, base, theta, flat_idx):
     n = base.shape[0]
     tmax = int(E.max())
     coord = np.arange(dim)[:, None]
-    step = max(1, _TABLE_BYTES // (8 * dim * n))
+    # (dim, rows, n) tables in row blocks: at t = 13, N = 308 a Jacobian
+    # took 27 ms at 13 MB peak in 1 MiB blocks, 46 ms at 37 MB in one
+    step = _block_rows(8 * dim * n)
     blocks = [(lo, E[lo : lo + step].T) for lo in range(0, len(E), step)]
 
     def build(theta_vec):
@@ -422,12 +377,15 @@ def find_design(cfg, log_csv=None, threads=1):
     """Multistart search: best mesh ratio among converged restarts wins.
 
     Ties go to the earlier restart, and a restart whose points coincide
-    (mesh ratio inf) ranks last. If nothing converges, the result with
-    the smallest V is returned with converged=False. log_csv, when given,
-    receives one row per restart: restart, iterations, final_V, separation,
-    covering, mesh_ratio. threads is the number of worker processes, 0 for
-    one per core; it is capped at cfg.restarts, because the pool starts all
-    its workers at once.
+    (mesh ratio inf) ranks last. On S^7 and up the covering radius, and
+    with it the mesh ratio that ranks the restarts, comes from a
+    quasi-random net seeded with cfg.seed, so there the chosen restart
+    depends on the covering seed as well as on the starts. If nothing
+    converges, the result with the smallest V is returned with
+    converged=False. log_csv, when given, receives one row per restart:
+    restart, iterations, final_V, separation, covering, mesh_ratio.
+    threads is the number of worker processes, 0 for one per core; it is
+    capped at cfg.restarts, because the pool starts all its workers at once.
     """
     if threads < 0:
         raise ValueError("threads must be >= 0")

@@ -17,10 +17,7 @@ import numpy as np
 __all__ = [
     "RealPointSet",
     "ComplexPointSet",
-    "angles_to_point",
     "point_to_angles",
-    "geodesic_real",
-    "geodesic_complex",
     "real_to_complex",
     "complex_to_real",
     "symmetrize",
@@ -30,8 +27,16 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_ANGLE_SLACK = 1e-9
 _NORM_TOL = 1e-10
+# Byte budget of one row block of the covering products in metrics and the
+# polish tables in optimize, so their memory stays flat in N and in t.
+# Above N ~ 338 the covering ascent's estimate depends on it via rounding.
+_BLOCK_BYTES = 2**20
+
+
+def _block_rows(row_bytes):
+    """Rows per block when each row takes row_bytes: at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _as_matrix(points, dtype):
@@ -103,29 +108,13 @@ class ComplexPointSet:
         return self.points.shape[1]
 
 
-def angles_to_point(phi):
-    """Cartesian coordinates on S^m from m spherical angles.
+def _angles_to_points(phi):
+    """Cartesian coordinates on S^m from rows of m spherical angles.
 
     x_1 = cos(phi_1), x_k = cos(phi_k) prod_{j<k} sin(phi_j), and the last
-    coordinate is the full product of sines. The first angle lives in
-    [0, pi], the rest in [0, 2 pi); for m = 1 the single angle is the
-    azimuthal one with range [0, 2 pi).
+    coordinate is the full product of sines. phi is (n, m); the angles are
+    not range-checked, because the optimizer iterates on them unconstrained.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 1 or phi.size < 1:
-        raise ValueError("phi must be a nonempty vector of angles")
-    m = phi.size
-    lo, hi = -_ANGLE_SLACK, _TWO_PI + _ANGLE_SLACK
-    if phi.min() < lo or phi.max() > hi:
-        raise ValueError("angle outside its admissible range")
-    if m > 1 and phi[0] > np.pi + _ANGLE_SLACK:
-        raise ValueError("polar angle must lie in [0, pi]")
-    return _angles_to_points(phi[None, :])[0]
-
-
-def _angles_to_points(phi):
-    """Rows of angles_to_point for an (n, m) array, without the range
-    check: the optimizer iterates on unconstrained angles."""
     n, m = phi.shape
     S = np.sin(phi)
     C = np.cos(phi)
@@ -139,9 +128,10 @@ def _angles_to_points(phi):
 
 
 def point_to_angles(x):
-    """Spherical angles for a unit vector, inverse of angles_to_point.
+    """Spherical angles for a unit vector, inverse of _angles_to_points.
 
-    At parametrization singularities (a vanishing tail) the remaining angles
+    The first m - 1 angles lie in [0, pi] and the last in [0, 2 pi). At
+    parametrization singularities (a vanishing tail) the remaining angles
     are set to 0, the lexicographically smallest representative; elsewhere the
     round trip reproduces the point to ~1e-15.
     """
@@ -165,18 +155,6 @@ def point_to_angles(x):
             last = _TWO_PI - last
         phi[m - 1] = last
     return phi
-
-
-def geodesic_real(x, y):
-    """Great-circle distance between unit vectors, in [0, pi]."""
-    d = float(np.dot(np.asarray(x, float), np.asarray(y, float)))
-    return float(np.arccos(np.clip(d, -1.0, 1.0)))
-
-
-def geodesic_complex(u, v):
-    """Distance on the complex sphere: arccos of Re of the Hermitian product."""
-    d = float(np.real(np.vdot(np.asarray(v, complex), np.asarray(u, complex))))
-    return float(np.arccos(np.clip(d, -1.0, 1.0)))
 
 
 def real_to_complex(x):

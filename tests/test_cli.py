@@ -1,6 +1,7 @@
 """Command-line contract: flags, exit codes, and emitted artifacts."""
 
 import csv
+import ctypes
 import os
 import subprocess
 import sys
@@ -133,6 +134,25 @@ def test_gen_negative_threads_exits_two(tmp_path, capsys):
     assert code == 2
     assert not sdf.exists()
     assert "threads" in capsys.readouterr().err
+
+
+def test_gen_start_choices(tmp_path, capsys):
+    cross = np.vstack([np.eye(4), -np.eye(4)])
+    start = tmp_path / "start.sdf"
+    save_pointset(start, RealPointSet(points=cross, symmetric=True))
+    out = tmp_path / "out.sdf"
+    base = ["gen", "--complex-dim", "2", "--degree", "3", "--symmetric",
+            "--points", "8", "--restarts", "1", "--out", str(out)]
+    assert run(base + ["--init-strategy", "spiral_like"]) == 2
+    assert run(base + ["--init-strategy", "file"]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    # --init-file alone selects the file start: a design returns unchanged
+    for extra in ([], ["--init-strategy", "file"]):
+        assert run(base + extra + ["--init-file", str(start)]) == 0
+        assert "iterations = 0" in capsys.readouterr().out
+        X, _ = load_real_pointset(out)
+        assert np.array_equal(X.points, cross)
 
 
 def test_gen_log_csv(tmp_path, capsys):
@@ -333,3 +353,25 @@ def test_coincident_points_have_infinite_mesh_ratio(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[1][4] == "inf"
     assert "mesh ratio    = inf" in capsys.readouterr().out
+
+
+def test_run_gives_large_blocks_their_own_mapping(capsys):
+    # after a 16 MiB block is freed, glibc's own rule would serve the next
+    # 2 MiB block from the heap; run() fixes the threshold at 1 MiB instead
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("needs glibc's mallinfo2")
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+            "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    mallinfo2.restype = MallInfo2
+    assert run(["counts", "--complex-dim", "2", "--degree", "3"]) == 0
+    capsys.readouterr()
+    big = np.ones(1 << 21)
+    del big
+    mapped = mallinfo2().hblkhd
+    block = np.ones(1 << 18)
+    assert mallinfo2().hblkhd - mapped >= block.nbytes

@@ -15,7 +15,7 @@ import pytest
 from scipy.spatial import ConvexHull
 from scipy.stats import qmc
 
-from cxdesign import metrics
+from cxdesign import metrics, sphere
 
 from cxdesign import (
     CoveringOptions,
@@ -24,10 +24,8 @@ from cxdesign import (
     mesh_ratio,
     separation,
     sorted_inner_products,
-    stereographic_inverse,
     stereographic_projection,
     symmetrize,
-    write_covering_csv,
     write_inner_products_csv,
     write_stereographic_csv,
 )
@@ -77,6 +75,35 @@ def test_separation_known_values():
         points=np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]]), symmetric=True
     )
     assert separation(pair) == pytest.approx(np.pi, abs=1e-15)
+
+
+def test_separation_of_coincident_points_is_zero():
+    # arccos of an inner product that rounds to 1 - 2**-53 is 1.49e-8, so a
+    # repeated row needs the chord to come out as exactly 0
+    rng = np.random.default_rng(420)
+    opts = CoveringOptions(seeds=2**6, refine_iters=2)
+    for _ in range(200):
+        pts = random_unit_points(rng, 5, 4)
+        X = RealPointSet(points=np.vstack([pts, pts[:1]]))
+        assert separation(X) == 0.0
+        assert mesh_ratio(X, opts).mesh_ratio == np.inf
+
+
+def test_separation_prefers_a_coincident_pair_over_a_near_one():
+    # rows 0 and 3 coincide; rows 1 and 2 are 1e-9 apart, and their inner
+    # product rounds higher than that of the coincident pair
+    rng = np.random.default_rng(421)
+    pts = random_unit_points(rng, 2, 4)
+    tangent = random_unit_points(rng, 1, 4)[0]
+    tangent -= np.dot(tangent, pts[1]) * pts[1]
+    tangent /= np.linalg.norm(tangent)
+    near = np.cos(1e-9) * pts[1] + np.sin(1e-9) * tangent
+    X = RealPointSet(points=np.vstack([pts, near, pts[:1]]))
+    gram = X.points @ X.points.T
+    assert gram[1, 2] > gram[0, 3]
+    assert separation(X) == 0.0
+    pair = RealPointSet(points=X.points[1:3])
+    assert separation(pair) == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_sorted_inner_products():
@@ -154,7 +181,7 @@ def _dense_top_starts(pts, seeds, seed):
 def test_blocked_seed_ranking_matches_dense(monkeypatch, block_bytes):
     # 2**24 bytes hold the whole chunk in one block; 8 * 40 * 100 bytes give
     # 100-row blocks, so the chunks below span many blocks with a ragged end
-    monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(sphere, "_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(metrics, "_CHUNK", 2**11)
     rng = np.random.default_rng(409)
     pts = random_unit_points(rng, 40, 4)
@@ -201,16 +228,14 @@ def test_refinement_blocks_do_not_change_the_estimate(monkeypatch):
     pts = random_unit_points(rng, 40, 4)
     opts = CoveringOptions(seeds=2**12, refine_iters=20, seed=3)
     one_block = _net_max(pts, opts)
-    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 40 * 3)  # 3 rows
+    monkeypatch.setattr(sphere, "_BLOCK_BYTES", 8 * 40 * 3)  # 3 rows
     assert _net_max(pts, opts) == one_block
 
 
-def test_zero_seeds_rejected(tmp_path):
+def test_zero_seeds_rejected():
     X = _cross_polytope(4)
     with pytest.raises(ValueError, match="seeds"):
         covering_estimate(X, CoveringOptions(seeds=0))
-    with pytest.raises(ValueError, match="seeds"):
-        write_covering_csv(tmp_path / "cov.csv", X, CoveringOptions(seeds=0))
 
 
 def test_negative_refine_iters_rejected():
@@ -307,25 +332,10 @@ def test_hull_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def test_covering_csv_has_one_row_per_facet(tmp_path):
-    path = tmp_path / "cov.csv"
-    write_covering_csv(path, _cross_polytope(4))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 16
-    assert all(abs(float(r[1]) - np.pi / 3) <= 1e-15 for r in rows[1:])
-
-
-def test_covering_csv_leads_with_the_estimate(tmp_path):
-    rng = np.random.default_rng(411)
-    X = RealPointSet(points=random_unit_points(rng, 10, 4))
-    opts = CoveringOptions(seeds=2**10, refine_iters=10, seed=2)
-    path = tmp_path / "cov.csv"
-    write_covering_csv(path, X, opts)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    value, _ = covering_estimate(X, opts)
-    assert float(rows[1][1]) == value
+def test_hull_candidates_have_one_value_per_facet():
+    values, _ = metrics._hull_candidates(_cross_polytope(4).points)
+    assert values.shape == (16,)
+    assert np.all(np.abs(values - np.pi / 3) <= 1e-15)
 
 
 def test_mesh_ratio_report():
@@ -349,12 +359,23 @@ def test_mesh_ratio_at_least_one():
         assert report.mesh_ratio >= 1.0 - 1e-9
 
 
+_E1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _stereographic_inverse(Y, pole):
+    # the unit sphere of R^3 maps to the equator of the pole's frame, the
+    # origin to the antipode of the pole
+    r2 = np.sum(Y * Y, axis=1)
+    W = np.column_stack([(r2 - 1.0) / (r2 + 1.0), 2.0 * Y / (r2 + 1.0)[:, None]])
+    return W @ metrics._pole_frame(pole)
+
+
 def test_stereographic_roundtrip():
     rng = np.random.default_rng(406)
     X = RealPointSet(points=random_unit_points(rng, 25, 4))
-    Y = stereographic_projection(X)
+    Y = stereographic_projection(X, _E1)
     assert Y.shape == (25, 3)
-    back = stereographic_inverse(Y)
+    back = _stereographic_inverse(Y, _E1)
     assert np.max(np.abs(back - X.points)) < 1e-12
 
 
@@ -363,17 +384,37 @@ def test_stereographic_general_pole():
     X = RealPointSet(points=random_unit_points(rng, 10, 4))
     pole = random_unit_points(rng, 1, 4)[0]
     Y = stereographic_projection(X, pole=pole)
-    back = stereographic_inverse(Y, pole=pole)
+    back = _stereographic_inverse(Y, pole)
     assert np.max(np.abs(back - X.points)) < 1e-12
+
+
+def test_stereographic_pole_is_required(tmp_path):
+    X = _cross_polytope(4)
+    with pytest.raises(TypeError):
+        stereographic_projection(X)
+    with pytest.raises(TypeError):
+        write_stereographic_csv(tmp_path / "st.csv", X)
+
+
+def test_stereographic_projects_a_found_design(design_library):
+    # the search pins the first point at e_1, which no default pole avoids
+    X = design_library.get(2, 3).points
+    assert np.array_equal(X.points[0], _E1)
+    pole = np.array([0.3, -1.2, 0.5, 0.77])
+    pole /= np.linalg.norm(pole)
+    Y = stereographic_projection(X, pole)
+    assert np.max(np.abs(_stereographic_inverse(Y, pole) - X.points)) < 1e-12
+    with pytest.raises(ValueError, match="pole"):
+        stereographic_projection(X, _E1)
 
 
 def test_stereographic_rejects_bad_input():
     pole_hit = RealPointSet(points=np.array([[1.0, 0, 0, 0]]))
     with pytest.raises(ValueError):
-        stereographic_projection(pole_hit)
+        stereographic_projection(pole_hit, _E1)
     wrong_dim = RealPointSet(points=np.eye(3))
     with pytest.raises(ValueError):
-        stereographic_projection(wrong_dim)
+        stereographic_projection(wrong_dim, _E1)
 
 
 def test_csv_exports(tmp_path):
@@ -387,15 +428,8 @@ def test_csv_exports(tmp_path):
     assert rows[0] == ["rank", "inner_product"]
     assert len(rows) == 1 + 6 * 5 // 2
 
-    cov_path = tmp_path / "cov.csv"
-    write_covering_csv(cov_path, X, CoveringOptions(seeds=2**10, refine_iters=10))
-    with open(cov_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["rank", "local_max_radians"]
-    assert len(rows) > 1
-
     st_path = tmp_path / "st.csv"
-    write_stereographic_csv(st_path, X)
+    write_stereographic_csv(st_path, X, _E1)
     with open(st_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["y1", "y2", "y3"]

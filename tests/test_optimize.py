@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from cxdesign import metrics, optimize
+from cxdesign import metrics, optimize, sphere
 from cxdesign import (
     OptimizerConfig,
     RealPointSet,
@@ -65,10 +65,6 @@ def test_config_validation():
         OptimizerConfig(t=3, m=3, N=9, symmetric=True)  # odd N
     with pytest.raises(ValueError):
         OptimizerConfig(t=3, m=3, N=8, restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(t=3, m=3, N=8, init_strategy="bogus")
-    with pytest.raises(ValueError):
-        OptimizerConfig(t=3, m=3, N=8, init_strategy="file")
 
 
 def test_config_warns_below_lower_bound():
@@ -87,39 +83,19 @@ def test_initial_configuration_deterministic_and_valid():
     assert np.allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-12)
 
 
-def test_initial_configuration_spiral():
-    cfg = OptimizerConfig(
-        t=3, m=3, N=12, symmetric=False, seed=5, init_strategy="spiral_like"
-    )
-    a = initial_configuration(cfg, restart=0)
-    b = initial_configuration(cfg, restart=0)
-    assert np.array_equal(a.points, b.points)  # restart 0 is deterministic
-    assert np.allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-12)
-    # low-discrepancy start: no two points nearly coincide
-    gram = a.points @ a.points.T
-    np.fill_diagonal(gram, -1.0)
-    assert gram.max() < 0.999
-
-
 def test_initial_configuration_from_file(tmp_path):
     rng = np.random.default_rng(501)
     full = symmetrize(random_unit_points(rng, 5, 4))
     path = tmp_path / "start.sdf"
     save_pointset(path, full)
-    cfg = OptimizerConfig(
-        t=3, m=3, N=10, symmetric=True, init_strategy="file",
-        init_file=str(path),
-    )
+    cfg = OptimizerConfig(t=3, m=3, N=10, symmetric=True, init_file=str(path))
     loaded = initial_configuration(cfg)
     assert np.array_equal(loaded.points, full.points)
     # generator-only file for a symmetric run is expanded by symmetrization
     gen_path = tmp_path / "gen.sdf"
     save_pointset(gen_path, RealPointSet(points=full.points[:5]))
     loaded2 = initial_configuration(
-        OptimizerConfig(
-            t=3, m=3, N=10, symmetric=True, init_strategy="file",
-            init_file=str(gen_path),
-        )
+        OptimizerConfig(t=3, m=3, N=10, symmetric=True, init_file=str(gen_path))
     )
     assert np.array_equal(loaded2.points, full.points)
 
@@ -434,7 +410,7 @@ def test_polish_row_blocks_do_not_change_the_bits(monkeypatch):
     _, theta, fun, jac = _polish_callables(
         monkeypatch, cfg, np.random.default_rng(510)
     )
-    monkeypatch.setattr(optimize, "_TABLE_BYTES", 1)  # one row per block
+    monkeypatch.setattr(sphere, "_BLOCK_BYTES", 1)  # one row per block
     _, theta_rows, fun_rows, jac_rows = _polish_callables(
         monkeypatch, cfg, np.random.default_rng(510)
     )
