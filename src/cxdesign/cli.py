@@ -151,8 +151,8 @@ def _default_points(d, t, symmetric):
 
 def _cmd_gen(args):
     d, t = args.complex_dim, args.degree
-    if d < 1 or t < 1:
-        print("error: need d >= 1 and t >= 1", file=sys.stderr)
+    if d < 2 or t < 1:
+        print("error: need d >= 2 and t >= 1", file=sys.stderr)
         return 2
     if args.init_strategy == "file" and not args.init_file:
         print("error: --init-strategy file needs --init-file", file=sys.stderr)
@@ -242,9 +242,9 @@ def _cmd_metrics(args):
 def _cmd_map(args):
     X, header = load_real_pointset(args.file)
     t = args.degree if args.degree is not None else header.get("degree")
-    if t is None:
-        print("error: no degree in file header; pass --degree",
-              file=sys.stderr)
+    if t is None or int(t) < 1 or X.m % 2 == 0:
+        print("error: map needs a degree t >= 1 (file header or --degree) "
+              "and a file on S^(2d-1)", file=sys.stderr)
         return 2
     try:
         rule = map_design(X, int(t))

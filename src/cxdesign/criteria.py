@@ -1,21 +1,23 @@
 """Design quality criteria: the variational objective, exactness sums, and
 monomial verification for complex point sets.
 
-All verification-path sums here use a fixed reduction order (row reductions
-followed by math.fsum), so repeated runs are bit-reproducible and the
-thresholds can sit near accumulation error.
+All verification-path sums here use a fixed reduction order, so repeated
+runs are bit-reproducible and the thresholds can sit near accumulation
+error: the per-degree sums are row reductions followed by math.fsum, and
+the monomial node means are numpy's pairwise means along each monomial's
+row of node values, taken in row blocks that do not change their bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, prod
+from math import fsum, inf, prod
 
 import numpy as np
 
 from .orthopoly import ZonalKernel, _gegenbauer, dim_harm
-from .sphere import ComplexPointSet, RealPointSet
+from .sphere import ComplexPointSet, RealPointSet, _block_rows
 
 __all__ = [
     "DesignReport",
@@ -76,11 +78,6 @@ def _require_points(X):
         raise TypeError("expected a RealPointSet")
 
 
-def _pair_sum(values):
-    """Deterministic compensated total of an (N, N) array of pair values."""
-    return fsum(np.sum(values, axis=1))
-
-
 def _variational_evaluator(t, m, symmetric):
     """The search objective on S^m: rows X -> (V, ambient gradient).
 
@@ -137,15 +134,15 @@ def per_degree_sums(X, t):
         raise ValueError("t must be at least 1")
     gram = np.clip(X.points @ X.points.T, -1.0, 1.0)
     # each degree is summed as the recurrence produces it, so memory stays
-    # a few N x N arrays whatever t is
-    sums = [_pair_sum(p) for p in _gegenbauer(t, X.m, gram)]
+    # a few N x N arrays whatever t is; row sums, then one compensated total
+    sums = [fsum(np.sum(p, axis=1)) for p in _gegenbauer(t, X.m, gram)]
     return np.array(sums[1:])
 
 
 def is_spherical_design(X, t, tol=1e-12):
     """Check the real design property at degree t; returns a DesignReport."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
     W = per_degree_sums(X, t)
     nsq = X.npoints**2
     V = fsum(
@@ -231,51 +228,62 @@ def monomial_pairs(d, t):
         yield combined[:d], combined[d:]
 
 
+def _power_table(W, tmax):
+    """pw[k, a, i] = W[i, k] ** a, a = 0..tmax, by repeated products."""
+    pw = np.ones((W.shape[1], tmax + 1, W.shape[0]), dtype=W.dtype)
+    for a in range(1, tmax + 1):
+        pw[:, a] = pw[:, a - 1] * W.T
+    return pw
+
+
+def _row_blocks(E, n, dtype):
+    """Exponent rows E (M, k) as blocks (lo, E[lo:hi].T) whose factor
+    tables over n nodes of this dtype fit the row-block budget."""
+    step = _block_rows(np.dtype(dtype).itemsize * E.shape[1] * n)
+    return [(lo, E[lo : lo + step].T) for lo in range(0, len(E), step)]
+
+
+def _factors(pw, Et):
+    """[k, r, i] = W[i, k] ** Et[k, r], factor k of monomial r at node i."""
+    return pw[np.arange(len(pw))[:, None], Et]
+
+
+def _monomial_means(pw, blocks):
+    """Node mean of every monomial of the blocks, in row order."""
+    return np.concatenate([_factors(pw, Et).prod(0).mean(1) for _, Et in blocks])
+
+
 def verify_triangular_design(Z, t, tol=1e-10):
     """Sweep every monomial z^alpha conj(z)^beta with |alpha|+|beta| <= t and
     compare the equal-weight average over Z against the exact integral.
 
-    Every monomial is checked and the worst error is reported. Exactness on
-    all monomials in the sweep is equivalent to the triangular design
-    property at degree t.
+    Every monomial is checked and the worst error is reported: the first
+    largest in monomial_pairs order. Exactness on all monomials in the
+    sweep is equivalent to the triangular design property at degree t.
     """
     if not isinstance(Z, ComplexPointSet):
         raise TypeError("expected a ComplexPointSet")
     if t < 1:
         raise ValueError("t must be at least 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    pts = Z.points
-    N, d = pts.shape
-    # power tables: pows[:, j, a] = z_j^a
-    pows = np.empty((N, d, t + 1), dtype=complex)
-    pows[:, :, 0] = 1.0
-    for a in range(1, t + 1):
-        pows[:, :, a] = pows[:, :, a - 1] * pts
-    conj_pows = np.conj(pows)
-    max_error = 0.0
-    worst = ((0,) * d, (0,) * d)
-    checked = 0
-    for alpha, beta in monomial_pairs(d, t):
-        vals = np.ones(N, dtype=complex)
-        for j in range(d):
-            if alpha[j]:
-                vals = vals * pows[:, j, alpha[j]]
-            if beta[j]:
-                vals = vals * conj_pows[:, j, beta[j]]
-        avg = complex(fsum(vals.real) / N, fsum(vals.imag) / N)
-        err = abs(avg - complex_monomial_integral(d, alpha, beta))
-        checked += 1
-        if err > max_error:
-            max_error = err
-            worst = (alpha, beta)
+    if not 0.0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
+    N, d = Z.points.shape
+    # exponent rows over (z, conj(z)), which monomial_pairs splits in half
+    E = np.array(monomial_exponents(2 * d, t))
+    pw = _power_table(np.hstack([Z.points, np.conj(Z.points)]), t)
+    err = _monomial_means(pw, _row_blocks(E, N, complex))
+    # only the integrals with alpha == beta are nonzero
+    for r in np.flatnonzero((E[:, :d] == E[:, d:]).all(axis=1)):
+        err[r] -= complex_monomial_integral(d, E[r, :d], E[r, d:])
+    err = np.abs(err)
+    worst = E[np.argmax(err)].tolist()  # the first largest, as Python ints
     return MonomialReport(
         t=t,
         N=N,
         d=d,
-        max_error=max_error,
-        worst_pair=worst,
-        checked=checked,
-        passed=max_error <= tol,
+        max_error=float(err.max()),
+        worst_pair=(tuple(worst[:d]), tuple(worst[d:])),
+        checked=len(E),
+        passed=bool(err.max() <= tol),
         tolerance=tol,
     )

@@ -27,6 +27,10 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .criteria import (
+    _factors,
+    _monomial_means,
+    _power_table,
+    _row_blocks,
     _variational_evaluator,
     is_spherical_design,
     monomial_exponents,
@@ -37,7 +41,6 @@ from .orthopoly import real_design_lower_bound
 from .sphere import (
     RealPointSet,
     _angles_to_points,
-    _block_rows,
     _write_csv,
     load_real_pointset,
     point_to_angles,
@@ -72,8 +75,8 @@ class OptimizerConfig:
             raise ValueError("symmetric mode needs an even N")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not self.feasibility_tol > 0.0:
-            raise ValueError("feasibility_tol must be positive")
+        if not 0.0 < self.feasibility_tol < np.inf:
+            raise ValueError("feasibility_tol must be positive and finite")
         nstar = real_design_lower_bound(self.m, self.t)
         if self.N < nstar:
             warnings.warn(
@@ -219,39 +222,28 @@ def _polish(cfg, base, theta, flat_idx):
     E = E[np.lexsort(np.vstack([E.T[::-1], E.sum(axis=1)]))]
     targets = np.array([real_sphere_moment(dim, g) for g in E])
     n = base.shape[0]
-    tmax = int(E.max())
-    coord = np.arange(dim)[:, None]
-    # (dim, rows, n) tables in row blocks: at t = 13, N = 308 a Jacobian
-    # took 27 ms at 13 MB peak in 1 MiB blocks, 46 ms at 37 MB in one
-    step = _block_rows(8 * dim * n)
-    blocks = [(lo, E[lo : lo + step].T) for lo in range(0, len(E), step)]
+    # (dim, rows, n) factor tables in row blocks: at t = 13, N = 308 a
+    # Jacobian took 27 ms at 13 MB peak in 1 MiB blocks, 46 ms at 37 MB in one
+    blocks = _row_blocks(E, n, float)
 
     def build(theta_vec):
         phi = base.copy()
         phi.ravel()[flat_idx] = theta_vec
-        X = _angles_to_points(phi)
-        pw = np.ones((dim, tmax + 1, n))
-        for a in range(1, tmax + 1):
-            pw[:, a] = pw[:, a - 1] * X.T
-        return phi, pw
+        return phi, _power_table(_angles_to_points(phi), cfg.t)
 
-    # for a block of rows Et (dim, rows), pw[coord, Et][k, r, i] is
-    # x_ik ** Et[k, r], coordinate k's factor of monomial r
     def residuals(theta_vec):
-        _, pw = build(theta_vec)
-        means = [pw[coord, Et].prod(axis=0).mean(axis=1) for _, Et in blocks]
-        return np.concatenate(means) - targets
+        return _monomial_means(build(theta_vec)[1], blocks) - targets
 
     def jacobian(theta_vec):
         phi, pw = build(theta_vec)
         J = np.empty((len(E), theta_vec.size))
         for lo, Et in blocks:
-            F = pw[coord, Et]
+            F = _factors(pw, Et)
             ones = np.ones((1,) + F.shape[1:])
             # the product of the other factors: exclusive prefix times suffix
             pre = np.concatenate([ones, np.cumprod(F[:-1], axis=0)])
             suf = np.concatenate([np.cumprod(F[:0:-1], axis=0)[::-1], ones])
-            dF = pw[coord, np.maximum(Et - 1, 0)]
+            dF = _factors(pw, np.maximum(Et - 1, 0))
             gX = (Et[:, :, None] / n) * pre * suf * dF
             # +0.0, not 0 * (negative product) = -0.0: the SVD in
             # least_squares sees zero signs

@@ -28,8 +28,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _NORM_TOL = 1e-10
-# Byte budget of one row block of the covering products in metrics and the
-# polish tables in optimize, so their memory stays flat in N and in t.
+# Byte budget of one row block, so memory stays flat in N and t: covering
+# products (metrics), monomial factor tables of polish and sweep (criteria).
 # Above N ~ 338 the covering ascent's estimate depends on it via rounding.
 _BLOCK_BYTES = 2**20
 

@@ -20,6 +20,8 @@ from cxdesign import (
 from cxdesign.cli import run
 from conftest import random_unit_points
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_usage_errors_exit_two(capsys):
     assert run([]) == 2
@@ -136,6 +138,18 @@ def test_gen_negative_threads_exits_two(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+def test_gen_bad_dimension_or_tolerance_exits_two(tmp_path, capsys):
+    sdf = tmp_path / "never.sdf"
+    base = ["gen", "--degree", "5", "--restarts", "1", "--out", str(sdf)]
+    for extra in ([], ["--points", "8"]):
+        assert run(base + ["--complex-dim", "1"] + extra) == 2
+        assert capsys.readouterr().err == "error: need d >= 2 and t >= 1\n"
+    # an infinite tolerance would take the random start as converged
+    assert run(base + ["--complex-dim", "2", "--tol", "inf"]) == 2
+    assert "tol" in capsys.readouterr().err
+    assert not sdf.exists()
+
+
 def test_gen_start_choices(tmp_path, capsys):
     cross = np.vstack([np.eye(4), -np.eye(4)])
     start = tmp_path / "start.sdf"
@@ -243,7 +257,7 @@ def test_metrics_emits_report(tmp_path, capsys):
 def test_cli_import_does_not_load_scipy_stats():
     # only the covering net draws from scipy.stats.qmc, and it imports it
     # when it runs; a fresh interpreter shows what `import cxdesign.cli` loads
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
@@ -265,6 +279,14 @@ def test_map_without_degree_header_exits_two(tmp_path, capsys):
     )
     out = tmp_path / "out.sdf"
     assert run(["map", str(bare), "--out", str(out)]) == 2
+    # so do a degree below 1 and a file on S^2, which cannot fold
+    s2 = tmp_path / "s2.sdf"
+    save_pointset(s2, RealPointSet(points=np.eye(3)), degree=1)
+    for argv in ([str(bare), "--degree", "0"], [str(bare), "--degree", "-3"],
+                 [str(s2)]):
+        assert run(["map", *argv, "--out", str(out)]) == 2
+    assert "rejected" not in capsys.readouterr().err
+    assert not out.exists()
     # an explicit override fixes it
     assert run(["map", str(bare), "--degree", "3", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -280,6 +302,10 @@ def test_map_rejection_exits_one(tmp_path, capsys):
     assert run(["map", str(sdf), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "rejected" in err
+    # a t = 13 design swept one degree too high
+    stored = ROOT / "perfbench" / "inputs" / "c2_t13_n308.sdf"
+    assert run(["map", str(stored), "--degree", "14", "--out", str(out)]) == 1
+    assert "not a degree-14 rule" in capsys.readouterr().err
 
 
 def test_integrate_demo(tmp_path, capsys):

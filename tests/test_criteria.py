@@ -10,6 +10,7 @@ import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb, fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cxdesign import (
     complex_monomial_integral,
     dim_harm,
     is_spherical_design,
+    load_real_pointset,
     monomial_pairs,
     per_degree_sums,
     real_to_complex,
@@ -30,9 +32,16 @@ from cxdesign import (
     verify_triangular_design,
     zonal_psi,
 )
+from cxdesign import sphere
 from cxdesign.criteria import monomial_exponents, real_sphere_moment
 from cxdesign.orthopoly import legendre_normalized
 from conftest import random_unit_points
+
+# a stored feasible C^2, t = 13 design with N = 308
+STORED_T13 = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+    / "c2_t13_n308.sdf"
+)
 
 
 def _variational_direct(points, t):
@@ -328,15 +337,21 @@ def _sweep_by_fsum(Z, t):
     return checked, worst, max_error
 
 
-@pytest.mark.parametrize("d, n, t, seed", [
+@pytest.mark.parametrize("d, n, t, source", [
     (2, 30, 5, 312), (2, 60, 7, 313), (3, 40, 4, 314),
     (2, 8, 5, None), (3, 12, 6, None),
+    (2, 308, 13, STORED_T13.name), (2, 308, 14, STORED_T13.name),
 ])
-def test_verify_matches_the_fsum_reference(d, n, t, seed):
-    if seed is None:
+def test_verify_matches_the_fsum_reference(d, n, t, source):
+    # source: a seed for random points, None for the cross-polytope, or
+    # the stored design, which passes at t = 13 and fails at t = 14
+    if source is None:
         pts = _cross_polytope(2 * d).points
+    elif source == STORED_T13.name:
+        pts = load_real_pointset(STORED_T13)[0].points
     else:
-        pts = random_unit_points(np.random.default_rng(seed), n, 2 * d)
+        pts = random_unit_points(np.random.default_rng(source), n, 2 * d)
+    assert pts.shape == (n, 2 * d)
     Z = ComplexPointSet(points=real_to_complex(pts))
     report = verify_triangular_design(Z, t)
     checked, worst, max_error = _sweep_by_fsum(Z, t)
@@ -344,6 +359,34 @@ def test_verify_matches_the_fsum_reference(d, n, t, seed):
     assert report.worst_pair == worst
     assert all(type(k) is int for part in report.worst_pair for k in part)
     assert abs(report.max_error - max_error) <= 1e-15
+
+
+def test_sweep_row_blocks_do_not_change_the_bits(monkeypatch):
+    # 715 monomials over 60 nodes: 3 row blocks by default, then one each
+    rng = np.random.default_rng(315)
+    Z = ComplexPointSet(points=real_to_complex(random_unit_points(rng, 60, 4)))
+    blocked = verify_triangular_design(Z, 9)
+    monkeypatch.setattr(sphere, "_BLOCK_BYTES", 1)
+    rows = verify_triangular_design(Z, 9)
+    assert rows.checked == blocked.checked == comb(4 + 9, 9)
+    assert rows.worst_pair == blocked.worst_pair
+    assert rows.max_error == blocked.max_error > 0.0
+
+
+def test_sweep_memory_is_bounded_by_the_row_block():
+    # C^2, t = 21 at the published N = 1184: 12650 monomials, whose node
+    # values alone would take 240 MB; measured peak 3.8 MiB
+    rng = np.random.default_rng(316)
+    Z = ComplexPointSet(points=real_to_complex(
+        symmetrize(random_unit_points(rng, 592, 4)).points))
+    tracemalloc.start()
+    try:
+        report = verify_triangular_design(Z, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checked == comb(4 + 21, 21)
+    assert peak < 16 * 2**20
 
 
 def test_verify_random_set_fails():
@@ -367,13 +410,14 @@ def test_input_validation():
 
 
 def test_nan_tolerance_is_rejected():
-    # tol <= 0 is False for NaN, so a NaN tolerance used to pass the check
+    # tol <= 0 is False for NaN, so a NaN tolerance used to pass the check;
+    # an infinite one passes any set
     cp = _cross_polytope(4)
     Z = ComplexPointSet(points=real_to_complex(cp.points))
-    nan = float("nan")
-    with pytest.raises(ValueError, match="tol"):
-        is_spherical_design(cp, 3, tol=nan)
-    with pytest.raises(ValueError, match="tol"):
-        verify_triangular_design(Z, 3, tol=nan)
-    with pytest.raises(ValueError, match="tol"):
-        OptimizerConfig(t=3, m=3, N=8, feasibility_tol=nan)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            is_spherical_design(cp, 3, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            verify_triangular_design(Z, 3, tol=bad)
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(t=3, m=3, N=8, feasibility_tol=bad)
