@@ -91,8 +91,8 @@ def tight_design(d, t):
     t=1: an antipodal pair. t=2: the regular simplex of 2d+1 points.
     t=3: the cross-polytope {±e_j, ±i e_j} of 4d points.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if d < 2:
+        raise ValueError("need d >= 2")
     if t == 1:
         real = np.zeros((2, 2 * d))
         real[0, 0] = 1.0

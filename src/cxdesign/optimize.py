@@ -1,10 +1,11 @@
 """Two-step design search: drive the variational criterion V to zero from
 many starts, then keep the feasible solution with the best mesh ratio.
 
-The descent runs over the spherical angles of the free points, with the
-first min(m, N) points rotation-normalized so the leading point sits at
-e_1, the second in the (e_1, e_2) plane, and so on. That pins exactly
-dim SO(m+1) angles at zero and removes the rotational degeneracy.
+The descent, the polish and the final map all go through one chart,
+`_Chart`: the spherical angles of the free points, with the first
+min(m, N) points rotation-normalized so the leading point sits at e_1, the
+second in the (e_1, e_2) plane, and so on. That pins exactly dim SO(m+1)
+angles at zero and removes the rotational degeneracy.
 
 The quasi-Newton loop is run until it can no longer make progress rather
 than until the per-degree sums cross the acceptance tolerance: quadrature
@@ -38,14 +39,7 @@ from .criteria import (
 )
 from .metrics import CoveringOptions, MetricsReport, mesh_ratio
 from .orthopoly import real_design_lower_bound
-from .sphere import (
-    RealPointSet,
-    _angles_to_points,
-    _write_csv,
-    load_real_pointset,
-    point_to_angles,
-    symmetrize,
-)
+from .sphere import RealPointSet, _write_csv, load_real_pointset, symmetrize
 
 __all__ = [
     "OptimizerConfig",
@@ -75,6 +69,8 @@ class OptimizerConfig:
             raise ValueError("symmetric mode needs an even N")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.feasibility_tol < np.inf:
             raise ValueError("feasibility_tol must be positive and finite")
         nstar = real_design_lower_bound(self.m, self.t)
@@ -138,6 +134,45 @@ def initial_configuration(cfg, restart=0):
     return _full_pointset(cfg, G)
 
 
+def _angles_to_points(phi):
+    """Cartesian coordinates on S^m from rows of m spherical angles.
+
+    x_1 = cos(phi_1), x_k = cos(phi_k) prod_{j<k} sin(phi_j), and the last
+    coordinate is the full product of sines. phi is (n, m); the angles are
+    not range-checked, because the optimizer iterates on them unconstrained.
+    """
+    n, m = phi.shape
+    S = np.sin(phi)
+    C = np.cos(phi)
+    P = np.cumprod(S, axis=1)
+    X = np.empty((n, m + 1))
+    X[:, 0] = C[:, 0]
+    X[:, 1:m] = C[:, 1:] * P[:, : m - 1]
+    X[:, m] = P[:, m - 1]
+    return X
+
+
+def _points_to_angles(G):
+    """Spherical angles of the unit rows of G, inverse of _angles_to_points.
+
+    The first m - 1 angles lie in [0, pi] and the last in [0, 2 pi). Where
+    the tail of a row vanishes its remaining angles are 0, the
+    lexicographically smallest representative; elsewhere the round trip
+    reproduces the point to ~1e-15.
+    """
+    n, dim = G.shape
+    m = dim - 1
+    # tail[:, k] = norm of G[:, k:], summed from the far end for accuracy;
+    # it never grows with k, so a zero tail zeroes every later angle
+    tail = np.sqrt(np.cumsum(G[:, ::-1] ** 2, axis=1)[:, ::-1])[:, :m]
+    live = tail > 0.0
+    phi = np.zeros((n, m))
+    phi[live] = np.arccos(np.clip(G[:, :m][live] / tail[live], -1.0, 1.0))
+    flip = live[:, m - 1] & (G[:, m] < 0.0)
+    phi[flip, m - 1] = 2.0 * np.pi - phi[flip, m - 1]
+    return phi
+
+
 def _angle_gradient(phi, gX):
     """Contract an ambient gradient through the angle parametrization.
 
@@ -156,17 +191,8 @@ def _angle_gradient(phi, gX):
     for j in range(m - 2, -1, -1):
         B[..., j] = A[..., j + 1] + S[:, j + 1] * B[..., j + 1]
     prefix = np.ones((n, m))
-    if m > 1:
-        prefix[:, 1:] = np.cumprod(S[:, : m - 1], axis=1)
+    prefix[:, 1:] = np.cumprod(S[:, : m - 1], axis=1)
     return prefix * (C * B - S * gX[..., :m])
-
-
-def _free_mask(n, m):
-    # row i moves in its first min(i, m) angles; the rest are pinned at 0
-    mask = np.zeros((n, m), dtype=bool)
-    for i in range(n):
-        mask[i, : min(i, m)] = True
-    return mask
 
 
 def _canonicalize(G):
@@ -176,32 +202,41 @@ def _canonicalize(G):
     k = min(dim, n)
     Q, R = np.linalg.qr(G[:k].T, mode="complete")
     signs = np.ones(dim)
-    for i in range(k):
-        if R[i, i] < 0.0:
-            signs[i] = -1.0
-    Q = Q * signs[None, :]
-    W = G @ Q
-    for i in range(min(n, dim - 1)):
-        W[i, i + 1 :] = 0.0
+    signs[:k][np.diag(R) < 0.0] = -1.0
+    W = G @ (Q * signs)
+    W[~np.tri(n, dim, dtype=bool)] = 0.0
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     return W
 
 
-def _objective_factory(cfg, phi0, flat_idx):
-    evaluate = _variational_evaluator(cfg.t, cfg.m, cfg.symmetric)
-    base = phi0.copy()
+class _Chart:
+    """The pinned angle chart of canonicalized generators: row i moves in
+    its first min(i, m) angles, the rest stay at their start values (exactly
+    0 unless a generator lies in the span of earlier ones). points(theta)
+    maps the free angles theta (theta0 at the start) to Cartesian rows;
+    pull(theta, gX) turns ambient gradients (..., n, m+1) there into
+    free-angle gradients (..., theta.size)."""
 
-    def fun(theta):
-        phi = base.copy()
-        phi.ravel()[flat_idx] = theta
-        V, gX = evaluate(_angles_to_points(phi))
-        gphi = _angle_gradient(phi, gX)
-        return V, gphi.ravel()[flat_idx]
+    def __init__(self, G):
+        n, dim = G.shape
+        self._phi = _points_to_angles(_canonicalize(G))
+        self._free = np.flatnonzero(np.tri(n, dim - 1, -1, dtype=bool))
+        self.theta0 = self._phi.ravel()[self._free]
 
-    return fun
+    def _angles(self, theta):
+        phi = self._phi.copy()
+        phi.ravel()[self._free] = theta
+        return phi
+
+    def points(self, theta):
+        return _angles_to_points(self._angles(theta))
+
+    def pull(self, theta, gX):
+        gphi = _angle_gradient(self._angles(theta), gX)
+        return gphi.reshape(gX.shape[:-2] + (-1,))[..., self._free]
 
 
-def _polish(cfg, base, theta, flat_idx):
+def _polish(cfg, chart, theta):
     """Gauss-Newton finish on the monomial moment residuals.
 
     Near a minimizer the variational value sits below the rounding noise of
@@ -221,21 +256,19 @@ def _polish(cfg, base, theta, flat_idx):
     # lexicographic within each degree
     E = E[np.lexsort(np.vstack([E.T[::-1], E.sum(axis=1)]))]
     targets = np.array([real_sphere_moment(dim, g) for g in E])
-    n = base.shape[0]
+    n = _generator_count(cfg)
     # (dim, rows, n) factor tables in row blocks: at t = 13, N = 308 a
     # Jacobian took 27 ms at 13 MB peak in 1 MiB blocks, 46 ms at 37 MB in one
     blocks = _row_blocks(E, n, float)
 
-    def build(theta_vec):
-        phi = base.copy()
-        phi.ravel()[flat_idx] = theta_vec
-        return phi, _power_table(_angles_to_points(phi), cfg.t)
+    def table(theta_vec):
+        return _power_table(chart.points(theta_vec), cfg.t)
 
     def residuals(theta_vec):
-        return _monomial_means(build(theta_vec)[1], blocks) - targets
+        return _monomial_means(table(theta_vec), blocks) - targets
 
     def jacobian(theta_vec):
-        phi, pw = build(theta_vec)
+        pw = table(theta_vec)
         J = np.empty((len(E), theta_vec.size))
         for lo, Et in blocks:
             F = _factors(pw, Et)
@@ -248,8 +281,7 @@ def _polish(cfg, base, theta, flat_idx):
             # +0.0, not 0 * (negative product) = -0.0: the SVD in
             # least_squares sees zero signs
             gX[Et == 0] = 0.0
-            rows = _angle_gradient(phi, np.moveaxis(gX, 0, -1))
-            J[lo : lo + Et.shape[1]] = rows.reshape(Et.shape[1], -1)[:, flat_idx]
+            J[lo : lo + Et.shape[1]] = chart.pull(theta_vec, np.moveaxis(gX, 0, -1))
         return J
 
     res = least_squares(
@@ -305,15 +337,16 @@ def solve_feasibility(X0, cfg):
     if report.is_design:
         return _result(cfg, X0, report, iterations=0)
 
-    n = _generator_count(cfg)
-    G = _canonicalize(np.array(X0.points[:n]))
-    phi0 = np.array([point_to_angles(row) for row in G])
-    flat_idx = np.flatnonzero(_free_mask(n, cfg.m).ravel())
-    fun = _objective_factory(cfg, phi0, flat_idx)
-    theta0 = phi0.ravel()[flat_idx]
-
+    chart = _Chart(X0.points[: _generator_count(cfg)])
+    theta_final = chart.theta0
     iterations = 0
-    if theta0.size:
+    if chart.theta0.size:
+        evaluate = _variational_evaluator(cfg.t, cfg.m, cfg.symmetric)
+
+        def fun(theta):
+            V, gX = evaluate(chart.points(theta))
+            return V, chart.pull(theta, gX)
+
         history = []
 
         def on_iterate(intermediate_result):
@@ -326,7 +359,7 @@ def solve_feasibility(X0, cfg):
 
         res = minimize(
             fun,
-            theta0,
+            chart.theta0,
             jac=True,
             method="L-BFGS-B",
             callback=on_iterate,
@@ -344,13 +377,9 @@ def solve_feasibility(X0, cfg):
         # polish only when the descent actually reached the basin floor;
         # a stalled positive local minimum is not worth refining
         if res.fun <= 1e-9:
-            theta_final = _polish(cfg, phi0, theta_final, flat_idx)
-    else:
-        theta_final = theta0
+            theta_final = _polish(cfg, chart, theta_final)
 
-    phi = phi0.copy()
-    phi.ravel()[flat_idx] = theta_final
-    G_final = _angles_to_points(phi)
+    G_final = chart.points(theta_final)
     drift = float(np.max(np.abs(np.linalg.norm(G_final, axis=1) - 1.0)))
     if not drift < 1e-14:
         raise RuntimeError(f"final points are off the unit sphere by {drift:.3e}")

@@ -1,9 +1,9 @@
 """Points and point sets on real spheres S^m and complex spheres, plus I/O.
 
-Cartesian coordinates are the source of truth everywhere; the angle
-parametrization is a view used by the optimizer. The real <-> complex bridge
-interleaves coordinates, so z_j = x_{2j-1} + i x_{2j} and real inner products
-equal real parts of Hermitian inner products.
+Points are Cartesian unit vectors; the optimizer keeps its angle chart to
+itself. The real <-> complex bridge interleaves coordinates, so
+z_j = x_{2j-1} + i x_{2j} and real inner products equal real parts of
+Hermitian inner products.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "RealPointSet",
     "ComplexPointSet",
-    "point_to_angles",
     "real_to_complex",
     "complex_to_real",
     "symmetrize",
@@ -26,7 +25,6 @@ __all__ = [
     "load_complex_pointset",
 ]
 
-_TWO_PI = 2.0 * np.pi
 _NORM_TOL = 1e-10
 # Byte budget of one row block, so memory stays flat in N and t: covering
 # products (metrics), monomial factor tables of polish and sweep (criteria).
@@ -108,55 +106,6 @@ class ComplexPointSet:
         return self.points.shape[1]
 
 
-def _angles_to_points(phi):
-    """Cartesian coordinates on S^m from rows of m spherical angles.
-
-    x_1 = cos(phi_1), x_k = cos(phi_k) prod_{j<k} sin(phi_j), and the last
-    coordinate is the full product of sines. phi is (n, m); the angles are
-    not range-checked, because the optimizer iterates on them unconstrained.
-    """
-    n, m = phi.shape
-    S = np.sin(phi)
-    C = np.cos(phi)
-    P = np.cumprod(S, axis=1)
-    X = np.empty((n, m + 1))
-    X[:, 0] = C[:, 0]
-    if m > 1:
-        X[:, 1:m] = C[:, 1:] * P[:, : m - 1]
-    X[:, m] = P[:, m - 1]
-    return X
-
-
-def point_to_angles(x):
-    """Spherical angles for a unit vector, inverse of _angles_to_points.
-
-    The first m - 1 angles lie in [0, pi] and the last in [0, 2 pi). At
-    parametrization singularities (a vanishing tail) the remaining angles
-    are set to 0, the lexicographically smallest representative; elsewhere the
-    round trip reproduces the point to ~1e-15.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("x must be a coordinate vector with at least 2 entries")
-    if abs(np.linalg.norm(x) - 1.0) > _NORM_TOL:
-        raise ValueError("x must be a unit vector")
-    m = x.size - 1
-    # tail[k] = norm of x[k:], computed from the far end for accuracy
-    tail = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
-    phi = np.zeros(m)
-    for k in range(m - 1):
-        if tail[k] > 0.0:
-            phi[k] = np.arccos(np.clip(x[k] / tail[k], -1.0, 1.0))
-        else:
-            return phi
-    if tail[m - 1] > 0.0:
-        last = np.arccos(np.clip(x[m - 1] / tail[m - 1], -1.0, 1.0))
-        if x[m] < 0.0:
-            last = _TWO_PI - last
-        phi[m - 1] = last
-    return phi
-
-
 def real_to_complex(x):
     """Fold a vector on S^(2d-1) into C^d by interleaving: z_j = x_{2j-1} + i x_{2j}.
 
@@ -218,7 +167,7 @@ def _format_header(header):
     return lines
 
 
-def save_pointset(path, X, degree=None, extra_header=None):
+def save_pointset(path, X, degree=None):
     """Write a RealPointSet or ComplexPointSet as an SDF text file."""
     if isinstance(X, ComplexPointSet):
         matrix = complex_to_real(X.points)
@@ -228,15 +177,12 @@ def save_pointset(path, X, degree=None, extra_header=None):
         symmetric = X.symmetric
     else:
         raise TypeError("expected a RealPointSet or ComplexPointSet")
-    header = {
+    lines = _format_header({
         "dim": matrix.shape[1],
         "npoints": matrix.shape[0],
         "degree": degree,
         "symmetric": symmetric,
-    }
-    if extra_header:
-        header.update(extra_header)
-    lines = _format_header(header)
+    })
     for row in matrix:
         lines.append(" ".join(_cell(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

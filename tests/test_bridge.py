@@ -103,8 +103,9 @@ def test_tight_metrics_agree_with_estimator():
 
 
 def test_tight_design_validation():
-    with pytest.raises(ValueError):
-        tight_design(1, 3)
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=r"need d >= 2"):
+            tight_design(d, 3)
     with pytest.raises(ValueError):
         tight_design(2, 4)
 

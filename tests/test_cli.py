@@ -57,6 +57,15 @@ def test_counts_rejects_bad_dimension(capsys):
     assert capsys.readouterr().err == "error: need d >= 2 and t >= 1\n"
 
 
+def test_tight_rejects_bad_dimension(tmp_path, capsys):
+    sdf = tmp_path / "never.sdf"
+    assert run(
+        ["tight", "--complex-dim", "1", "--degree", "3", "--out", str(sdf)]
+    ) == 2
+    assert capsys.readouterr().err == "error: need d >= 2\n"
+    assert not sdf.exists()
+
+
 def test_tight_verify_roundtrip(tmp_path, capsys):
     sdf = tmp_path / "tight.sdf"
     assert run(
@@ -147,6 +156,10 @@ def test_gen_bad_dimension_or_tolerance_exits_two(tmp_path, capsys):
     # an infinite tolerance would take the random start as converged
     assert run(base + ["--complex-dim", "2", "--tol", "inf"]) == 2
     assert "tol" in capsys.readouterr().err
+    for budget in ("0", "-1"):
+        code = run(base + ["--complex-dim", "2", "--max-iterations", budget])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max_iterations must be >= 1\n"
     assert not sdf.exists()
 
 

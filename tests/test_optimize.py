@@ -25,7 +25,6 @@ from cxdesign import (
     find_design,
     initial_configuration,
     is_spherical_design,
-    point_to_angles,
     real_design_lower_bound,
     save_pointset,
     solve_feasibility,
@@ -35,9 +34,11 @@ from cxdesign import (
 )
 from cxdesign.criteria import monomial_exponents, real_sphere_moment
 from cxdesign.optimize import (
+    _Chart,
     _angle_gradient,
+    _angles_to_points,
     _canonicalize,
-    _free_mask,
+    _points_to_angles,
     _polish,
 )
 from conftest import random_unit_points
@@ -65,6 +66,9 @@ def test_config_validation():
         OptimizerConfig(t=3, m=3, N=9, symmetric=True)  # odd N
     with pytest.raises(ValueError):
         OptimizerConfig(t=3, m=3, N=8, restarts=0)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_iterations"):
+            OptimizerConfig(t=3, m=3, N=8, max_iterations=budget)
 
 
 def test_config_warns_below_lower_bound():
@@ -110,6 +114,85 @@ def test_canonicalize_preserves_the_criterion():
     # pinned triangle: row i has coordinates i+1.. exactly zero
     for i in range(min(4 - 1, 6)):
         assert np.all(fixed[i, i + 1:] == 0.0)
+
+
+def test_angle_roundtrip_from_angles():
+    rng = np.random.default_rng(201)
+    for m in (2, 3, 5, 9):
+        phi = np.empty((6, m))
+        phi[:, : m - 1] = rng.uniform(0.05, np.pi - 0.05, size=(6, m - 1))
+        phi[:, m - 1] = rng.uniform(0.0, 2.0 * np.pi, size=6)
+        X = _angles_to_points(phi)
+        assert np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(_points_to_angles(X) - phi)) < 1e-10
+
+
+def test_angle_roundtrip_from_points():
+    rng = np.random.default_rng(202)
+    for m in range(1, 10):
+        X = random_unit_points(rng, 20, m + 1)
+        Y = _angles_to_points(_points_to_angles(X))
+        assert np.max(np.abs(Y - X)) < 1e-12
+
+
+def test_angle_chart_poles_use_canonical_zeros():
+    # at the pole every later angle is unidentifiable; the chart picks 0
+    for m in (3, 5):
+        poles = np.zeros((2, m + 1))
+        poles[0, 0] = 1.0
+        poles[1, 0] = -1.0
+        phi = _points_to_angles(poles)
+        assert np.all(phi[0] == 0.0)
+        assert phi[1, 0] == np.pi and np.all(phi[1, 1:] == 0.0)
+
+
+def test_angle_chart_azimuthal_branch():
+    # a negative final coordinate lands in the (pi, 2 pi) azimuthal branch
+    X = np.array([[0.0, 0.6, -0.8], [0.0, 0.6, 0.8]])
+    phi = _points_to_angles(X)
+    assert phi[0, -1] > np.pi and phi[1, -1] < np.pi
+    assert np.max(np.abs(_angles_to_points(phi) - X)) < 1e-12
+
+
+def _row_angles(x):
+    """Reference inverse chart, one row at a time: the first angle whose
+    tail vanishes and all later ones are 0."""
+    m = x.size - 1
+    tail = np.sqrt(np.cumsum(x[::-1] ** 2)[::-1])
+    phi = np.zeros(m)
+    for k in range(m):
+        if not tail[k] > 0.0:
+            break
+        phi[k] = np.arccos(np.clip(x[k] / tail[k], -1.0, 1.0))
+    if tail[m - 1] > 0.0 and x[m] < 0.0:
+        phi[m - 1] = 2.0 * np.pi - phi[m - 1]
+    return phi
+
+
+def test_points_to_angles_matches_the_row_loop_bit_for_bit():
+    rng = np.random.default_rng(512)
+    for dim in (2, 4, 6, 8, 12):
+        X = random_unit_points(rng, 40, dim)
+        X[1:3] = 0.0
+        X[1, 0] = -1.0  # a pole
+        X[2, 0] = 1.0
+        X[2, -1] = -1e-200  # a tail that squares to 0
+        for G in (X, _canonicalize(X[3:])):
+            expected = np.array([_row_angles(x) for x in G])
+            assert np.array_equal(_points_to_angles(G), expected)
+
+
+def test_canonicalized_sets_have_exactly_zero_pinned_angles():
+    # row i moves in its first min(i, m) angles; the rest are exactly 0
+    rng = np.random.default_rng(511)
+    for n, dim in ((1, 4), (3, 6), (6, 4), (20, 8)):
+        fixed = _canonicalize(random_unit_points(rng, n, dim))
+        phi = _points_to_angles(fixed)
+        for i in range(n):
+            assert np.all(phi[i, i:] == 0.0)
+        chart = _Chart(fixed)
+        assert chart.theta0.size == sum(min(i, dim - 1) for i in range(n))
+        assert np.max(np.abs(chart.points(chart.theta0) - fixed)) < 1e-15
 
 
 def test_solve_feasibility_early_exit_on_design():
@@ -295,7 +378,7 @@ def test_solve_feasibility_input_validation():
 
 def _polish_callables(monkeypatch, cfg, rng):
     """The residual and Jacobian callables the polish hands to
-    least_squares, set up at a random start, plus the start's angles."""
+    least_squares, set up at a random start, plus the start's chart."""
     captured = {}
 
     def capture(fun, x0, jac, **kwargs):
@@ -304,12 +387,9 @@ def _polish_callables(monkeypatch, cfg, rng):
 
     monkeypatch.setattr(optimize, "least_squares", capture)
     n = cfg.N // 2 if cfg.symmetric else cfg.N
-    G = _canonicalize(random_unit_points(rng, n, cfg.m + 1))
-    phi = np.array([point_to_angles(row) for row in G])
-    flat_idx = np.flatnonzero(_free_mask(n, cfg.m).ravel())
-    theta = phi.ravel()[flat_idx]
-    _polish(cfg, phi, theta, flat_idx)
-    return phi, theta, captured["fun"], captured["jac"]
+    chart = _Chart(random_unit_points(rng, n, cfg.m + 1))
+    _polish(cfg, chart, chart.theta0)
+    return chart, chart.theta0, captured["fun"], captured["jac"]
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -332,10 +412,10 @@ def test_polish_jacobian_matches_finite_differences(monkeypatch, symmetric):
 def test_polish_residuals_are_the_graded_moment_defects(monkeypatch):
     # rows: even totals 2..t (symmetric), graded, increasing lexicographic
     cfg = OptimizerConfig(t=5, m=3, N=20, symmetric=True)
-    phi, theta, fun, _ = _polish_callables(
+    chart, theta, fun, _ = _polish_callables(
         monkeypatch, cfg, np.random.default_rng(508)
     )
-    X = optimize._angles_to_points(phi)
+    X = chart.points(theta)
     rows = sorted(
         (g for g in monomial_exponents(4, 5) if sum(g) and sum(g) % 2 == 0),
         key=lambda g: (sum(g), g),
