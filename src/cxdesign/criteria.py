@@ -3,9 +3,10 @@ monomial verification for complex point sets.
 
 All verification-path sums here use a fixed reduction order, so repeated
 runs are bit-reproducible and the thresholds can sit near accumulation
-error: the per-degree sums are row reductions followed by math.fsum, and
-the monomial node means are numpy's pairwise means along each monomial's
-row of node values, taken in row blocks that do not change their bits.
+error: the per-degree sums are row reductions per Gram row block, then one
+math.fsum per degree, and the monomial node means are numpy's pairwise
+means along each monomial's row of node values, taken in row blocks that
+do not change their bits.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from math import fsum, inf, prod
 
 import numpy as np
 
-from .orthopoly import ZonalKernel, _gegenbauer, dim_harm
-from .sphere import ComplexPointSet, RealPointSet, _block_rows
+from .orthopoly import _MAX_DEGREE, ZonalKernel, _gegenbauer, dim_harm
+from .sphere import ComplexPointSet, RealPointSet, _gram_blocks, _row_slices
 
 __all__ = [
     "DesignReport",
@@ -130,13 +131,16 @@ def per_degree_sums(X, t):
     average, so a t-design is characterized by all of them vanishing.
     """
     _require_points(X)
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    gram = np.clip(X.points @ X.points.T, -1.0, 1.0)
-    # each degree is summed as the recurrence produces it, so memory stays
-    # a few N x N arrays whatever t is; row sums, then one compensated total
-    sums = [fsum(np.sum(p, axis=1)) for p in _gegenbauer(t, X.m, gram)]
-    return np.array(sums[1:])
+    if not 1 <= t <= _MAX_DEGREE:
+        raise ValueError(f"t must be in 1..{_MAX_DEGREE}")
+    # row sums of each degree as the recurrence yields it, per Gram row block
+    # so memory stays a few blocks whatever N and t are; then one fsum each
+    rowsums = np.empty((t + 1, X.npoints))
+    for rows, gram in _gram_blocks(X.points, X.points):
+        np.clip(gram, -1.0, 1.0, out=gram)
+        for ell, p in enumerate(_gegenbauer(t, X.m, gram)):
+            np.sum(p, axis=1, out=rowsums[ell, rows])
+    return np.array([fsum(r) for r in rowsums[1:]])
 
 
 def is_spherical_design(X, t, tol=1e-12):
@@ -237,10 +241,10 @@ def _power_table(W, tmax):
 
 
 def _row_blocks(E, n, dtype):
-    """Exponent rows E (M, k) as blocks (lo, E[lo:hi].T) whose factor
+    """Exponent rows E (M, k) as blocks (rows, E[rows].T) whose factor
     tables over n nodes of this dtype fit the row-block budget."""
-    step = _block_rows(np.dtype(dtype).itemsize * E.shape[1] * n)
-    return [(lo, E[lo : lo + step].T) for lo in range(0, len(E), step)]
+    slices = _row_slices(len(E), np.dtype(dtype).itemsize * E.shape[1] * n)
+    return [(rows, E[rows].T) for rows in slices]
 
 
 def _factors(pw, Et):

@@ -27,13 +27,12 @@ points, the hull path takes 0.12 s on S^3 and 7 s on S^5 (549k facets). On
 S^7 the hull of only 500 random points has 1.26M facets and takes 28 s,
 where the net is faster.
 
-Memory stays bounded in N on the net path. Seeding draws the net _CHUNK
-rows at a time and ranks each chunk by its nearest-point inner products
-taken in row blocks of at most sphere._BLOCK_BYTES, so it needs
-O(_CHUNK * dim + _BLOCK_BYTES) whatever the point count. Refinement takes
-the inner products of its N + _TOP_K starts in row blocks of the same size,
-so it needs O((N + 48) * dim + _BLOCK_BYTES). The hull path holds the facet
-list and evaluates the normals in the same row blocks.
+Memory stays bounded in N: every inner product comes from
+sphere._gram_blocks, in row blocks of at most sphere._BLOCK_BYTES, so
+separation needs O(N * dim + _BLOCK_BYTES), seeding O(_CHUNK * dim +
+_BLOCK_BYTES) as it draws the net _CHUNK rows at a time, and refinement of
+its N + _TOP_K starts O((N + 48) * dim + _BLOCK_BYTES). The hull path
+holds the facet list and evaluates the normals in the same row blocks.
 """
 
 from __future__ import annotations
@@ -47,7 +46,8 @@ from scipy.special import ndtri
 from .sphere import (
     ComplexPointSet,
     RealPointSet,
-    _block_rows,
+    _gram_blocks,
+    _row_slices,
     _write_csv,
     complex_to_real,
 )
@@ -122,15 +122,15 @@ def separation(X):
     pts = _real_matrix(X)
     if pts.shape[0] < 2:
         raise ValueError("separation needs at least 2 points")
-    gram = pts @ pts.T
-    np.fill_diagonal(gram, -2.0)
-    top = np.max(gram)
+    top = np.max(_max_inner(pts, pts, skip_self=True))
     # inner products of unit vectors in R^dim round by up to ~dim/2 ulps
     tie = pts.shape[1] * np.finfo(float).eps
     if top < 1.0 - tie:
         return float(np.arccos(np.clip(top, -1.0, 1.0)))
-    i, j = np.nonzero(gram >= top - tie)
-    chord = np.min(np.linalg.norm(pts[i] - pts[j], axis=1))
+    chord = np.inf
+    for rows, gram in _gram_blocks(pts, pts, skip_self=True):
+        i, j = np.nonzero(gram >= top - tie)
+        chord = np.min(np.linalg.norm(pts[rows][i] - pts[j], axis=1), initial=chord)
     return 2.0 * float(np.arcsin(0.5 * chord))
 
 
@@ -162,17 +162,11 @@ def _net_on_sphere(n, dim, engine):
     return g
 
 
-def _max_inner(Y, pts):
-    """Row maxima of Y @ pts.T, built in row blocks of at most _BLOCK_BYTES."""
-    n = Y.shape[0]
-    rows = _block_rows(8 * pts.shape[0])
-    ptsT = np.ascontiguousarray(pts.T)
-    block = np.empty((min(rows, n), pts.shape[0]))
-    out = np.empty(n)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        prod = np.matmul(Y[lo:hi], ptsT, out=block[: hi - lo])
-        np.max(prod, axis=1, out=out[lo:hi])
+def _max_inner(Y, pts, skip_self=False):
+    """Row maxima of Y @ pts.T, taken over its Gram row blocks."""
+    out = np.empty(Y.shape[0])
+    for rows, block in _gram_blocks(Y, pts, skip_self):
+        np.max(block, axis=1, out=out[rows])
     return out
 
 
@@ -213,12 +207,11 @@ def _refine(Y, pts, iters):
     taus = np.geomspace(0.5, 1e-10, max(iters, 2))
     F = _exact_min_dist(Y, pts)
     h = np.full(Y.shape[0], 0.05)
-    rows = _block_rows(8 * pts.shape[0])
     G = np.empty_like(Y)
     for tau in taus[:iters]:
-        for lo in range(0, Y.shape[0], rows):
-            Yb = Y[lo : lo + rows]
-            u = np.clip(Yb @ pts.T, -1.0, 1.0)
+        for rows, u in _gram_blocks(Y, pts):
+            Yb = Y[rows]
+            np.clip(u, -1.0, 1.0, out=u)
             d = np.arccos(u)
             dmin = np.min(d, axis=1, keepdims=True)
             w = np.exp(-(d - dmin) / tau)
@@ -227,7 +220,7 @@ def _refine(Y, pts, iters):
             coef = w / np.sqrt(np.maximum(1.0 - u * u, 1e-30))
             Gb = -(coef @ pts)
             Gb -= np.sum(Gb * Yb, axis=1, keepdims=True) * Yb
-            G[lo : lo + rows] = Gb
+            G[rows] = Gb
         gnorm = np.linalg.norm(G, axis=1)
         alive = gnorm > 1e-17
         if not np.any(alive):
@@ -294,11 +287,10 @@ def _hull_candidates(pts):
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     values = _exact_min_dist(normals, pts)
     dim = pts.shape[1]
-    rows = _block_rows(8 * dim * dim)
     spread = 0.0
-    for lo in range(0, normals.shape[0], rows):
-        own = pts[hull.simplices[lo : lo + rows]]
-        u = np.einsum("fd,fkd->fk", normals[lo : lo + rows], own)
+    for rows in _row_slices(normals.shape[0], 8 * dim * dim):
+        own = pts[hull.simplices[rows]]
+        u = np.einsum("fd,fkd->fk", normals[rows], own)
         d = np.arccos(np.clip(u, -1.0, 1.0))
         spread = max(spread, float(np.max(np.ptp(d, axis=1))))
     return values, spread + 2.0 * np.spacing(np.pi)

@@ -270,7 +270,7 @@ def _polish(cfg, chart, theta):
     def jacobian(theta_vec):
         pw = table(theta_vec)
         J = np.empty((len(E), theta_vec.size))
-        for lo, Et in blocks:
+        for rows, Et in blocks:
             F = _factors(pw, Et)
             ones = np.ones((1,) + F.shape[1:])
             # the product of the other factors: exclusive prefix times suffix
@@ -281,7 +281,7 @@ def _polish(cfg, chart, theta):
             # +0.0, not 0 * (negative product) = -0.0: the SVD in
             # least_squares sees zero signs
             gX[Et == 0] = 0.0
-            J[lo : lo + Et.shape[1]] = chart.pull(theta_vec, np.moveaxis(gX, 0, -1))
+            J[rows] = chart.pull(theta_vec, np.moveaxis(gX, 0, -1))
         return J
 
     res = least_squares(
@@ -391,7 +391,7 @@ def solve_feasibility(X0, cfg):
 def _run_restart(args):
     cfg, restart = args
     X0 = initial_configuration(cfg, restart=restart)
-    return restart, solve_feasibility(X0, cfg)
+    return solve_feasibility(X0, cfg)
 
 
 def find_design(cfg, log_csv=None, threads=1):
@@ -413,12 +413,10 @@ def find_design(cfg, log_csv=None, threads=1):
     jobs = [(cfg, r) for r in range(cfg.restarts)]
     workers = min(threads or os.cpu_count() or 1, cfg.restarts)
     if workers == 1:
-        outcomes = [_run_restart(job) for job in jobs]
+        results = [_run_restart(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_restart, jobs))
-    outcomes.sort(key=lambda pair: pair[0])
-    results = [res for _, res in outcomes]
+            results = list(pool.map(_run_restart, jobs))
 
     if log_csv is not None:
         _write_csv(
@@ -426,7 +424,7 @@ def find_design(cfg, log_csv=None, threads=1):
             ["restart", "iterations", "final_V", "separation", "covering",
              "mesh_ratio"],
             [[r, res.iterations, res.final_V, res.metrics.separation,
-              res.metrics.covering, res.mesh_ratio] for r, res in outcomes],
+              res.metrics.covering, res.mesh_ratio] for r, res in enumerate(results)],
         )
 
     converged = [res for res in results if res.converged]

@@ -26,15 +26,30 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-10
-# Byte budget of one row block, so memory stays flat in N and t: covering
-# products (metrics), monomial factor tables of polish and sweep (criteria).
+# Byte budget of one row block, so memory stays flat in N and t: Gram blocks
+# (verdict, separation, covering) and monomial factor tables (polish, sweep).
 # Above N ~ 338 the covering ascent's estimate depends on it via rounding.
 _BLOCK_BYTES = 2**20
 
 
-def _block_rows(row_bytes):
-    """Rows per block when each row takes row_bytes: at least one."""
-    return max(1, _BLOCK_BYTES // row_bytes)
+def _row_slices(n, row_bytes):
+    """Slices covering range(n) in order, at most _BLOCK_BYTES each when a
+    row takes row_bytes, and at least one row."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _gram_blocks(Y, X, skip_self=False):
+    """Yield (rows, Y[rows] @ X.T) over the row slices of Y, in one buffer
+    that the next step overwrites (fresh blocks page-fault once the heap
+    trims freed ones). skip_self (Y is X) sets the diagonal to -2."""
+    slices = _row_slices(Y.shape[0], 8 * X.shape[0])
+    buf = np.empty((slices[0].stop if slices else 0, X.shape[0]))
+    for rows in slices:
+        block = np.matmul(Y[rows], X.T, out=buf[: rows.stop - rows.start])
+        if skip_self:
+            np.fill_diagonal(block[:, rows], -2.0)
+        yield rows, block
 
 
 def _as_matrix(points, dtype):

@@ -252,6 +252,16 @@ def test_verify_malformed_file_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_above_the_degree_cap_exits_two(tmp_path, capsys):
+    # degree 101 lies beyond the recurrence's measured range
+    sdf = tmp_path / "pair.sdf"
+    save_pointset(sdf, RealPointSet(points=np.eye(4)[:2]))
+    assert run(["verify", str(sdf), "--degree", "101"]) == 2
+    assert "100" in capsys.readouterr().err
+    assert run(["verify", str(sdf), "--degree", "100"]) == 1
+    capsys.readouterr()
+
+
 def test_metrics_emits_report(tmp_path, capsys):
     rng = np.random.default_rng(701)
     sdf = tmp_path / "pts.sdf"

@@ -118,6 +118,33 @@ def test_per_degree_sums_memory_is_flat_in_degree():
     assert peak < 8 * nbytes
 
 
+def test_verdict_memory_is_bounded_by_the_row_block():
+    # C^2, t = 21 at the published N = 1184: one N x N Gram takes 10.7 MiB
+    # and the whole-Gram verdict peaked at 42.8 MiB; measured 4.2 MiB
+    rng = np.random.default_rng(109)
+    X = symmetrize(random_unit_points(rng, 592, 4))
+    tracemalloc.start()
+    try:
+        report = is_spherical_design(X, 21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.is_design
+    assert peak < 16 * 2**20
+
+
+def test_verdict_row_blocks_move_the_sums_by_rounding_only(monkeypatch):
+    # the stored design fits one block; 3-row blocks take each product
+    # apart from the symmetric one, so W_ell may move, but only by rounding
+    X, _ = load_real_pointset(STORED_T13)
+    one_block = is_spherical_design(X, 13)
+    monkeypatch.setattr(sphere, "_BLOCK_BYTES", 8 * X.npoints * 3)
+    rows = is_spherical_design(X, 13)
+    diff = np.abs(rows.per_degree - one_block.per_degree)
+    assert np.max(diff) <= 1e-18 * X.npoints**2
+    assert rows.is_design == one_block.is_design
+
+
 def test_design_report_consistency_invariant():
     # V must equal sum_ell Z(m, ell) W_ell / N^2 and W_ell >= -N^2 * 1e-12
     rng = np.random.default_rng(304)

@@ -106,6 +106,29 @@ def test_separation_prefers_a_coincident_pair_over_a_near_one():
     assert separation(pair) == pytest.approx(1e-9, rel=1e-6)
 
 
+def test_separation_resolves_coincident_points_across_blocks(monkeypatch):
+    # one row per block, so the tied rows sit in different Gram blocks
+    monkeypatch.setattr(sphere, "_BLOCK_BYTES", 1)
+    test_separation_of_coincident_points_is_zero()
+    test_separation_prefers_a_coincident_pair_over_a_near_one()
+
+
+def test_separation_memory_is_bounded_by_the_row_block():
+    # one 1184 x 1184 Gram takes 10.7 MiB; measured peak 1.0 MiB
+    rng = np.random.default_rng(430)
+    X = RealPointSet(points=random_unit_points(rng, 1184, 4))
+    tracemalloc.start()
+    try:
+        sep = separation(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gram = X.points @ X.points.T
+    np.fill_diagonal(gram, -2.0)
+    assert sep == np.arccos(np.max(gram))
+    assert peak < 4 * 2**20
+
+
 def test_sorted_inner_products():
     rng = np.random.default_rng(402)
     X = RealPointSet(points=random_unit_points(rng, 8, 4))

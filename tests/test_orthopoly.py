@@ -14,11 +14,14 @@ import pytest
 from scipy.special import eval_jacobi
 
 from cxdesign import (
+    RealPointSet,
     ZonalKernel,
     dim_complex_harm,
     dim_complex_space,
     dim_harm,
+    is_spherical_design,
     legendre_normalized,
+    per_degree_sums,
     point_counts,
     zonal_psi,
 )
@@ -212,10 +215,15 @@ def test_degrees_beyond_the_measured_range_are_rejected():
     assert legendre_normalized(100, 3, 0.5) == pytest.approx(
         float(_gegenbauer_exact(100, 3, Fraction(1, 2))), abs=1e-13)
     ZonalKernel(100, 3)
+    X = RealPointSet(points=np.eye(4)[:2])
+    assert per_degree_sums(X, 100).shape == (100,)
+    assert not is_spherical_design(X, 100).is_design
     for call in (lambda: ZonalKernel(101, 3),
                  lambda: ZonalKernel(101, 3, symmetric_variant=True),
                  lambda: zonal_psi(101, 3, 0.5),
-                 lambda: legendre_normalized(101, 3, 0.5)):
+                 lambda: legendre_normalized(101, 3, 0.5),
+                 lambda: per_degree_sums(X, 101),
+                 lambda: is_spherical_design(X, 101)):
         with pytest.raises(ValueError, match="100"):
             call()
 

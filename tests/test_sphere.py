@@ -15,8 +15,23 @@ from cxdesign import (
     save_pointset,
     symmetrize,
 )
-from cxdesign.sphere import _write_csv
+from cxdesign import sphere
+from cxdesign.sphere import _row_slices, _write_csv
 from conftest import random_unit_points
+
+
+@pytest.mark.parametrize("n, row_bytes, sizes", [
+    (10, sphere._BLOCK_BYTES // 4, [4, 4, 2]),
+    (3, sphere._BLOCK_BYTES, [1, 1, 1]),
+    (3, 2 * sphere._BLOCK_BYTES, [1, 1, 1]),
+    (5, 1, [5]),
+    (0, 8, []),
+])
+def test_row_slices_cover_the_rows_in_order(n, row_bytes, sizes):
+    # at most _BLOCK_BYTES per block, but never less than one row
+    slices = _row_slices(n, row_bytes)
+    assert [s.stop - s.start for s in slices] == sizes
+    assert [i for s in slices for i in range(n)[s]] == list(range(n))
 
 
 def test_pointset_validation():
