@@ -85,13 +85,13 @@ def _variational_evaluator(t, m, symmetric):
     V = (1/n^2) sum_{i,j} psi_t(x_i . x_j) with the scaled zonal kernel
     (its symmetric variant for the generators of a symmetric set), and row i
     of the gradient is (2/n^2) sum_j psi'(x_i . x_j) x_j. The kernel is
-    built once per evaluator.
+    built once per evaluator; it checks and clips the raw Gram itself.
     """
     kernel = ZonalKernel(t, m, symmetric_variant=symmetric)
 
     def evaluate(X):
         n = X.shape[0]
-        vals, ders = kernel(np.clip(X @ X.T, -1.0, 1.0))
+        vals, ders = kernel(X @ X.T)
         return float(np.sum(vals)) / n**2, (2.0 / n**2) * (ders @ X)
 
     return evaluate

@@ -316,15 +316,23 @@ def _result(cfg, X, report, iterations):
     )
 
 
+def _on_sphere(G, which):
+    """G, after checking that its rows are unit to 1e-14 (RuntimeError if not)."""
+    drift = float(np.max(np.abs(np.linalg.norm(G, axis=1) - 1.0)))
+    if not drift < 1e-14:
+        raise RuntimeError(f"{which} points are off the unit sphere by {drift:.3e}")
+    return G
+
+
 def solve_feasibility(X0, cfg):
     """Descend V from X0 until the solver stalls or the budget runs out.
 
     The returned verdict is is_spherical_design of the final points at
     cfg.feasibility_tol; an already-feasible X0 returns immediately.
     Accepted iterates never increase V and points stay exactly unit-norm
-    through the angle parametrization (both checked; a violation raises
-    RuntimeError), and symmetric runs keep antipodal pairs exact by
-    construction.
+    through the angle parametrization (both checked, the norms at the start
+    and at the end of the descent; a violation raises RuntimeError), and
+    symmetric runs keep antipodal pairs exact by construction.
     """
     if not isinstance(X0, RealPointSet):
         raise TypeError("X0 must be a RealPointSet")
@@ -341,6 +349,9 @@ def solve_feasibility(X0, cfg):
     theta_final = chart.theta0
     iterations = 0
     if chart.theta0.size:
+        # the kernel rejects a raw Gram entry past 1 + 1e-9 as a usage error;
+        # a chart that drifts off the sphere is a fault, caught here first
+        _on_sphere(chart.points(chart.theta0), "start")
         evaluate = _variational_evaluator(cfg.t, cfg.m, cfg.symmetric)
 
         def fun(theta):
@@ -379,10 +390,7 @@ def solve_feasibility(X0, cfg):
         if res.fun <= 1e-9:
             theta_final = _polish(cfg, chart, theta_final)
 
-    G_final = chart.points(theta_final)
-    drift = float(np.max(np.abs(np.linalg.norm(G_final, axis=1) - 1.0)))
-    if not drift < 1e-14:
-        raise RuntimeError(f"final points are off the unit sphere by {drift:.3e}")
+    G_final = _on_sphere(chart.points(theta_final), "final")
     X = _full_pointset(cfg, G_final)
     report = is_spherical_design(X, cfg.t, cfg.feasibility_tol)
     return _result(cfg, X, report, iterations)

@@ -42,11 +42,15 @@ def _row_slices(n, row_bytes):
 def _gram_blocks(Y, X, skip_self=False):
     """Yield (rows, Y[rows] @ X.T) over the row slices of Y, in one buffer
     that the next step overwrites (fresh blocks page-fault once the heap
-    trims freed ones). skip_self (Y is X) sets the diagonal to -2."""
+    trims freed ones). skip_self (Y is X) sets the diagonal to -2.
+
+    Against another Y the product takes a contiguous copy of X.T, which
+    multiplies faster; Y is X keeps the view, so X @ X.T keeps its bits."""
+    XT = X.T if Y is X else np.ascontiguousarray(X.T)
     slices = _row_slices(Y.shape[0], 8 * X.shape[0])
     buf = np.empty((slices[0].stop if slices else 0, X.shape[0]))
     for rows in slices:
-        block = np.matmul(Y[rows], X.T, out=buf[: rows.stop - rows.start])
+        block = np.matmul(Y[rows], XT, out=buf[: rows.stop - rows.start])
         if skip_self:
             np.fill_diagonal(block[:, rows], -2.0)
         yield rows, block

@@ -360,6 +360,29 @@ def test_unit_norm_check_survives_optimized_mode(monkeypatch):
         solve_feasibility(X0, cfg)
 
 
+def test_unit_norm_checked_after_the_descent(monkeypatch):
+    # a drift that sets in after the start and stays below the kernel's
+    # domain slack is caught by the final check
+    original = optimize._angles_to_points
+    calls = []
+
+    def late_drift(phi):
+        X = original(phi)
+        if calls:
+            X[0] *= 1.0 + 1e-12
+        calls.append(1)
+        return X
+
+    monkeypatch.setattr(optimize, "_angles_to_points", late_drift)
+    cfg = OptimizerConfig(
+        t=2, m=3, N=6, symmetric=True, seed=9, max_iterations=5
+    )
+    rng = np.random.default_rng(506)
+    X0 = symmetrize(random_unit_points(rng, 3, 4))
+    with pytest.raises(RuntimeError, match="final points are off the unit sphere"):
+        solve_feasibility(X0, cfg)
+
+
 def test_solve_feasibility_input_validation():
     cfg = OptimizerConfig(t=3, m=3, N=8, symmetric=True)
     rng = np.random.default_rng(504)

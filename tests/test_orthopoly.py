@@ -185,15 +185,90 @@ def test_dim_complex_space_check_raises(monkeypatch):
         dim_complex_space(2, 3)
 
 
-def _gegenbauer_exact(n, m, u):
-    # the same normalized recurrence in rational arithmetic
+def _gegenbauer_exact_terms(n, m, u):
+    # Pbar_0..Pbar_n by the same normalized recurrence in rational arithmetic
     u = Fraction(u)
-    p_prev, p_cur = Fraction(1), u
+    terms = [Fraction(1), u]
     for ell in range(2, n + 1):
         a = Fraction(2 * ell + m - 3, ell + m - 2)
         b = Fraction(ell - 1, ell + m - 2)
-        p_prev, p_cur = p_cur, a * u * p_cur - b * p_prev
-    return p_cur
+        terms.append(a * u * terms[-1] - b * terms[-2])
+    return terms[: n + 1]
+
+
+def _gegenbauer_exact(n, m, u):
+    return _gegenbauer_exact_terms(n, m, u)[n]
+
+
+def _kernel_exact(t, m, even, u):
+    # the kernel's Gegenbauer series and its derivative's, in rationals:
+    # Z(m, ell) Pbar_ell^(m) and Z(m, ell) ell (ell + m - 1) / m Pbar_{ell-1}^(m+2)
+    value_terms = _gegenbauer_exact_terms(t, m, u)
+    deriv_terms = _gegenbauer_exact_terms(t, m + 2, u)
+    value = deriv = Fraction(0)
+    for ell in range(2 if even else 1, t + 1, 2 if even else 1):
+        z = dim_harm(m, ell)
+        value += z * value_terms[ell]
+        deriv += Fraction(z * ell * (ell + m - 1), m) * deriv_terms[ell - 1]
+    return value, deriv
+
+
+def _chebyshev_exact(coeffs, x):
+    # sum_k coeffs[k] T_k(x) with T_k from T_(k+1) = 2 x T_k - T_(k-1)
+    total, t_prev, t_cur = Fraction(0), Fraction(1), Fraction(x)
+    for k, c in enumerate(coeffs):
+        if k:
+            t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
+        total += c * t_prev
+    return total
+
+
+def test_chebyshev_coefficients_are_exact():
+    # before rounding, the Chebyshev form is the Gegenbauer series itself
+    points = [Fraction(-1), Fraction(-2, 3), Fraction(-1, 7), Fraction(0),
+              Fraction(1, 3), Fraction(5, 8), Fraction(1)]
+    for m in (3, 5):
+        for t in (1, 2, 3, 4, 5, 8):
+            for even in (False, True):
+                value, deriv = orthopoly._kernel_chebyshev(t, m, even)
+                for u in points:
+                    x = 2 * u * u - 1 if even else u
+                    ref_value, ref_deriv = _kernel_exact(t, m, even, u)
+                    assert _chebyshev_exact(value, x) == ref_value
+                    got_deriv = _chebyshev_exact(deriv, x)
+                    assert (u * got_deriv if even else got_deriv) == ref_deriv
+
+
+def test_kernel_accurate_to_degree_100():
+    # both variants against their series in exact rationals, relative to the
+    # kernel's scale psi(1) and psi'(1)
+    u = np.linspace(-1.0, 1.0, 41)
+    t = 100
+    for m in (3, 5, 7):
+        for even in (False, True):
+            got_value, got_deriv = ZonalKernel(t, m, even)(u)
+            ref = [_kernel_exact(t, m, even, x) for x in u]
+            ref_value = np.array([float(v) for v, _ in ref])
+            ref_deriv = np.array([float(d) for _, d in ref])
+            scale_value, scale_deriv = map(float, _kernel_exact(t, m, even, 1))
+            assert np.max(np.abs(got_value - ref_value)) < 1e-13 * scale_value
+            assert np.max(np.abs(got_deriv - ref_deriv)) < 1e-13 * scale_deriv
+
+
+def test_kernel_checks_its_own_domain():
+    # callers hand in raw inner products: rounding-level excursions are
+    # clipped, anything past the slack is rejected
+    for kernel in (ZonalKernel(7, 3), ZonalKernel(7, 3, symmetric_variant=True)):
+        for edge in (1.0, -1.0):
+            at_edge = kernel(np.array([edge]))
+            over = kernel(np.array([edge * (1 + 1e-12)]))
+            assert np.array_equal(over[0], at_edge[0])
+            assert np.array_equal(over[1], at_edge[1])
+            with pytest.raises(ValueError, match="outside"):
+                kernel(np.array([0.5, edge * (1 + 2e-9)]))
+    assert zonal_psi(7, 3, 1 + 1e-12) == zonal_psi(7, 3, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        zonal_psi(7, 3, 1 + 2e-9)
 
 
 def test_jacobi_recurrence_accurate_to_degree_100():
