@@ -2,9 +2,9 @@
 
 The search works on the real sphere S^3: starting from random antipodal
 configurations, a quasi-Newton descent drives the variational criterion V
-to its rounding floor, a least-squares polish sharpens the monomial
-moments, and the per-degree exactness sums deliver the verdict. The real
-design then folds into an equal-weight complex quadrature rule.
+down to 1e-9, a least-squares polish takes the monomial moments from there
+to rounding level, and the per-degree exactness sums deliver the verdict.
+The real design then folds into an equal-weight complex quadrature rule.
 
 Run:  python3 demos/compute_design.py
 """

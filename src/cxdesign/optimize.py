@@ -7,14 +7,15 @@ min(m, N) points rotation-normalized so the leading point sits at e_1, the
 second in the (e_1, e_2) plane, and so on. That pins exactly dim SO(m+1)
 angles at zero and removes the rotational degeneracy.
 
-The quasi-Newton loop is run until it can no longer make progress rather
-than until the per-degree sums cross the acceptance tolerance: quadrature
-errors scale like the square root of V, so stopping at a per-degree level
-of 1e-12 would leave monomial errors near 1e-6. Stalling instead lands V
-near the rounding floor of its own evaluation, and the Gauss-Newton polish
-on the moment residuals takes the defect from there to the level that makes
-the integration demo hit 1e-11. The tolerance is the verdict, not the
-stopping rule.
+The quasi-Newton loop stops at the first accepted iterate with
+V <= _POLISH_GATE, not when the per-degree sums cross the acceptance
+tolerance: quadrature errors scale like the square root of V, so stopping
+at a per-degree level of 1e-12 would leave monomial errors near 1e-6. From
+the gate the Gauss-Newton polish on the moment residuals takes the defect
+in a few steps to the level that makes the integration demo hit 1e-11;
+running L-BFGS on to its stall near V ~ 1e-16 only repeats that work. A
+restart that never reaches the gate runs to its stall or its budget and is
+not polished. The tolerance is the verdict, not the stopping rule.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ __all__ = [
     "solve_feasibility",
     "find_design",
 ]
+
+# V at which the descent hands its iterate to the polish. Handing over at
+# 1e-8 instead made the polish slower and the conftest searches no faster.
+_POLISH_GATE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -325,7 +330,11 @@ def _on_sphere(G, which):
 
 
 def solve_feasibility(X0, cfg):
-    """Descend V from X0 until the solver stalls or the budget runs out.
+    """Descend V from X0 to the polish gate, then polish.
+
+    The descent stops at the first iterate with V <= _POLISH_GATE and hands
+    it to the Gauss-Newton polish; short of the gate it runs until the
+    solver stalls or the budget runs out, and its end point is not polished.
 
     The returned verdict is is_spherical_design of the final points at
     cfg.feasibility_tol; an already-feasible X0 returns immediately.
@@ -358,15 +367,18 @@ def solve_feasibility(X0, cfg):
             V, gX = evaluate(chart.points(theta))
             return V, chart.pull(theta, gX)
 
-        history = []
+        previous = np.inf  # V of the last accepted iterate
 
         def on_iterate(intermediate_result):
+            nonlocal previous
             V = intermediate_result.fun
-            if history and V > history[-1] + 1e-15 * max(1.0, abs(history[-1])):
+            if V > previous + 1e-15 * max(1.0, abs(previous)):
                 raise RuntimeError(
-                    f"descent increased V from {history[-1]:.3e} to {V:.3e}"
+                    f"descent increased V from {previous:.3e} to {V:.3e}"
                 )
-            history.append(V)
+            previous = V
+            if V <= _POLISH_GATE:
+                raise StopIteration
 
         res = minimize(
             fun,
@@ -385,9 +397,9 @@ def solve_feasibility(X0, cfg):
         )
         iterations = int(res.nit)
         theta_final = res.x
-        # polish only when the descent actually reached the basin floor;
-        # a stalled positive local minimum is not worth refining
-        if res.fun <= 1e-9:
+        # polish only when the descent reached the gate; a stalled positive
+        # local minimum is not worth refining
+        if res.fun <= _POLISH_GATE:
             theta_final = _polish(cfg, chart, theta_final)
 
     G_final = _on_sphere(chart.points(theta_final), "final")

@@ -25,6 +25,7 @@ from cxdesign import (
     find_design,
     initial_configuration,
     is_spherical_design,
+    map_design,
     real_design_lower_bound,
     save_pointset,
     solve_feasibility,
@@ -532,3 +533,60 @@ def test_descent_that_raises_V_is_rejected(monkeypatch):
     cfg = OptimizerConfig(t=3, m=3, N=8, symmetric=True, seed=3)
     with pytest.raises(RuntimeError, match="descent increased V"):
         solve_feasibility(initial_configuration(cfg), cfg)
+
+
+def _record_descent(monkeypatch):
+    """V of every iterate the descent hands to its callback, and the number
+    of polish calls, recorded around the real minimize and _polish."""
+    seen, polished = [], []
+    minimize, polish = optimize.minimize, optimize._polish
+
+    def recording(fun, x0, callback, **kwargs):
+        # SciPy passes the OptimizeResult only to a parameter of this name
+        def record(intermediate_result):
+            seen.append(intermediate_result.fun)
+            callback(intermediate_result)
+
+        return minimize(fun, x0, callback=record, **kwargs)
+
+    def counting(*args):
+        polished.append(1)
+        return polish(*args)
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    monkeypatch.setattr(optimize, "_polish", counting)
+    return seen, polished
+
+
+def test_descent_hands_off_at_the_polish_gate(monkeypatch):
+    seen, polished = _record_descent(monkeypatch)
+    cfg = OptimizerConfig(t=5, m=3, N=28, symmetric=True, seed=11)
+    result = solve_feasibility(initial_configuration(cfg, restart=0), cfg)
+    assert seen[-1] <= optimize._POLISH_GATE
+    assert all(V > optimize._POLISH_GATE for V in seen[:-1])
+    assert result.iterations == len(seen)
+    assert polished == [1]
+    assert result.converged
+
+
+def test_descent_short_of_the_gate_runs_its_budget_unpolished(monkeypatch):
+    seen, polished = _record_descent(monkeypatch)
+    cfg = OptimizerConfig(
+        t=5, m=3, N=28, symmetric=True, seed=11, max_iterations=5
+    )
+    result = solve_feasibility(initial_configuration(cfg, restart=0), cfg)
+    assert len(seen) == result.iterations == 5
+    assert all(V > optimize._POLISH_GATE for V in seen)
+    assert polished == []
+    assert not result.converged
+
+
+@pytest.mark.parametrize("t, N, restarts", [(5, 28, range(10)), (7, 60, [8])])
+def test_polish_from_the_gate_maps_at_the_sweep_tolerance(t, N, restarts):
+    # t = 7 restart 8 is the worst measured sweep after the hand-off
+    # (1.5e-12); every restart listed converges
+    cfg = OptimizerConfig(t=t, m=3, N=N, symmetric=True, seed=11)
+    for r in restarts:
+        result = solve_feasibility(initial_configuration(cfg, restart=r), cfg)
+        assert result.converged, r
+        map_design(result.points, t, tol=1e-11)
