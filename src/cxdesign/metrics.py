@@ -32,7 +32,8 @@ sphere._gram_blocks, in row blocks of at most sphere._BLOCK_BYTES, so
 separation needs O(N * dim + _BLOCK_BYTES), seeding O(_CHUNK * dim +
 _BLOCK_BYTES) as it draws the net _CHUNK rows at a time, and refinement of
 its N + _TOP_K starts O((N + 48) * dim + _BLOCK_BYTES). The hull path
-holds the facet list and evaluates the normals in the same row blocks.
+holds the facet list and evaluates the normals in the same row blocks, and
+sorted_inner_products holds its N(N - 1)/2 outputs and one block.
 """
 
 from __future__ import annotations
@@ -144,10 +145,16 @@ def sorted_inner_products(X):
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
-    gram = pts @ pts.T
-    iu = np.triu_indices(n, k=1)
-    vals = gram[iu]
-    return np.sort(vals)[::-1]
+    # upper-triangle rows copied out of each Gram block and sorted in place:
+    # the output is the only N^2-sized array
+    vals = np.empty(n * (n - 1) // 2)
+    end = 0
+    for rows, gram in _gram_blocks(pts, pts):
+        for i, row in enumerate(gram, start=rows.start):
+            vals[end:end + n - 1 - i] = row[i + 1:]
+            end += n - 1 - i
+    vals.sort()
+    return vals[::-1]
 
 
 def _net_on_sphere(n, dim, engine):

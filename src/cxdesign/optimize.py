@@ -68,8 +68,8 @@ class OptimizerConfig:
     init_file: str | None = None
 
     def __post_init__(self):
-        if self.t < 1 or self.m < 1 or self.N < 2:
-            raise ValueError("need t >= 1, m >= 1, N >= 2")
+        if self.t < 1 or self.m < 2 or self.N < 2:
+            raise ValueError("need t >= 1, m >= 2, N >= 2")
         if self.symmetric and self.N % 2:
             raise ValueError("symmetric mode needs an even N")
         if self.restarts < 1:

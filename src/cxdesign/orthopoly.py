@@ -1,14 +1,15 @@
 """Gegenbauer polynomials, the zonal design kernel, and dimension/count formulas.
 
 Everything here is scalar math on [-1, 1] plus exact integer combinatorics.
-One recurrence, _recurrence, defines the normalized Gegenbauer polynomials.
-_gegenbauer runs it in floats, degree by degree, for the polynomials and the
-per-degree exactness sums. The kernel psi_t is
-sum_{ell=1..t} Z(m, ell) Pbar_ell(u): positive coefficients and no constant
-term, so that the pair-sum functional V of criteria vanishes exactly on
-spherical t-designs (Sloan and Womersley, JAT 2009). It and its derivative
-are Chebyshev series, converted once per kernel from the same recurrence in
-exact rationals and summed by Clenshaw's recurrence (Clenshaw, MTAC 1955).
+_gegenbauer runs the normalized Gegenbauer recurrence in floats, degree by
+degree, for the polynomials and the per-degree exactness sums. The kernel
+psi_t is sum_{ell=1..t} Z(m, ell) Pbar_ell(u): positive coefficients and no
+constant term, so that the pair-sum functional V of criteria vanishes
+exactly on spherical t-designs (Sloan and Womersley, JAT 2009). The sum
+telescopes to C_t^mu + C_(t-1)^mu - 1 with mu = (m + 1) / 2; the kernel and
+its derivative are Chebyshev series, built once per kernel in exact
+rationals from that closed form, the derivative by differentiating the
+series, and summed by Clenshaw's recurrence (Clenshaw, MTAC 1955).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -40,31 +40,23 @@ _MAX_DEGREE = 100  # highest degree accepted: _gegenbauer's measured range
 
 def _check_domain(u):
     u = np.asarray(u, dtype=float)
-    if u.size and (u.min() < -1.0 - _DOMAIN_SLACK or u.max() > 1.0 + _DOMAIN_SLACK):
+    # written so that NaN fails it
+    if u.size and not (u.min() >= -1.0 - _DOMAIN_SLACK
+                       and u.max() <= 1.0 + _DOMAIN_SLACK):
         raise ValueError("argument outside [-1, 1]")
     # excursions at rounding level are clipped, larger ones were rejected above
     return np.clip(u, -1.0, 1.0)
-
-
-def _recurrence(ell, m):
-    """Integers (p, q, r) of the normalized recurrence on S^m at degree ell >= 1:
-    r Pbar_ell = p u Pbar_{ell-1} - q Pbar_{ell-2}.
-
-    p = 2 ell + m - 3, q = ell - 1, r = ell + m - 2, so p - q = r keeps
-    Pbar_ell(1) = 1, and ell = 1 gives Pbar_1 = u. _gegenbauer runs it in
-    floats, _chebyshev in exact rationals.
-    """
-    return 2 * ell + m - 3, ell - 1, ell + m - 2
 
 
 def _gegenbauer(top, m, u):
     """Yield Pbar_ell(u) for ell = 0..top: the Gegenbauer polynomials of S^m
     normalized to 1 at u = 1.
 
-    Pbar_0 = 1, Pbar_1 = u and Pbar_ell from _recurrence. Against the same
-    recurrence in exact rational arithmetic on 41 points of [-1, 1], the
-    error at ell = 100 was at most 6.7e-15 for m = 3, 5, 7 and 13; the
-    published designs stop at t = 31.
+    Pbar_0 = 1, Pbar_1 = u and r Pbar_ell = p u Pbar_{ell-1} - q Pbar_{ell-2}
+    with p = 2 ell + m - 3, q = ell - 1, r = ell + m - 2 (p - q = r keeps
+    Pbar_ell(1) = 1). Against the same recurrence in exact rational
+    arithmetic on 41 points of [-1, 1], the error at ell = 100 was at most
+    6.7e-15 for m = 3, 5, 7 and 13; the published designs stop at t = 31.
     The buffers are reused: each yielded array is overwritten once the
     generator advances, so use it before asking for the next.
     """
@@ -76,70 +68,59 @@ def _gegenbauer(top, m, u):
     yield p_cur
     scratch = np.empty_like(p_cur)
     for ell in range(2, top + 1):
-        p, q, r = _recurrence(ell, m)
+        r = ell + m - 2
         np.multiply(u, p_cur, out=scratch)
-        scratch *= p / r
-        p_prev *= q / r
+        scratch *= (2 * ell + m - 3) / r
+        p_prev *= (ell - 1) / r
         scratch -= p_prev
         p_prev, p_cur, scratch = p_cur, scratch, p_prev
         yield p_cur
 
 
-def _chebyshev(weights, m):
-    """Exact Chebyshev coefficients c with sum_k c[k] T_k(u) equal to
-    sum_ell weights[ell] Pbar_ell(u) on S^m.
+def _gegenbauer_chebyshev(n, mu):
+    """Exact Chebyshev coefficients of the Gegenbauer polynomial C_n^mu;
+    the empty (zero) series for n < 0.
 
-    Runs _recurrence on coefficient lists, where u T_0 = T_1 and
-    u T_k = (T_(k-1) + T_(k+1)) / 2.
+    C_n^mu(cos th) = sum_k g_k g_(n-k) cos((n - 2k) th) with
+    g_k = (mu)_k / k! (DLMF §18.5), and cos(j th) = T_j(cos th).
     """
-    total = [Fraction(0)] * len(weights)
-    prev, cur = [], [Fraction(1)]
-    for ell, w in enumerate(weights):
-        if ell:
-            p, q, r = _recurrence(ell, m)
-            ucur = [Fraction(0)] * (ell + 1)
-            ucur[1] = cur[0]
-            for k in range(1, ell):
-                ucur[k - 1] += cur[k] / 2
-                ucur[k + 1] += cur[k] / 2
-            prev, cur = cur, [(p * a - q * b) / r
-                              for a, b in zip_longest(ucur, prev, fillvalue=0)]
-        if w:
-            for k in range(ell + 1):
-                total[k] += w * cur[k]
-    return total
+    g = [Fraction(1)]
+    for k in range(1, n + 1):
+        g.append(g[-1] * (mu + k - 1) / k)
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        coeffs[abs(n - 2 * k)] += g[k] * g[n - k]
+    return coeffs
 
 
 def _kernel_chebyshev(t, m, even):
     """Exact Chebyshev coefficients (value, deriv) of the kernel and its
     derivative, in the variable x = u, or x = 2 u^2 - 1 with even.
 
-    The value series has Z(m, ell) at degree ell = 1..t; by
-    d/du Pbar_ell^(m) = ell (ell + m - 1) / m Pbar_{ell-1}^(m+2) the
-    derivative series has Z(m, ell) ell (ell + m - 1) / m at degree ell - 1.
-    Plain, psi = sum_k value[k] T_k(x) and psi' = sum_k deriv[k] T_k(x).
-    With even, odd ell are dropped, which is the even part
-    (psi(u) + psi(-u)) / 2: its value keeps only T_2k(u) = T_k(x) and its
-    derivative is odd, u times sum_k deriv[k] T_k(x).
+    With mu = (m + 1) / 2, Z(m, ell) Pbar_ell = C_ell^mu - C_(ell-2)^mu
+    (DLMF §18.9), so the sum over ell = 1..t telescopes to
+    psi_t = C_t^mu + C_(t-1)^mu - 1. C_n^mu has the parity of n, so with
+    even the T_2k(u) = T_k(x) terms are the even part (psi(u) + psi(-u)) / 2,
+    and its derivative is u times 4 d/dx of that series. The derivative of
+    sum_k c_k T_k is sum_k d_k T_k with d_(k-1) = d_(k+1) + 2 k c_k from the
+    top down, d_0 then halved.
+    Plain, psi = sum_k value[k] T_k(x) and psi' = sum_k deriv[k] T_k(x);
+    with even, psi' = u sum_k deriv[k] T_k(x).
     """
-    top = t - 1 if even and t % 2 else t
-    value = [Fraction(0)] * (top + 1)
-    deriv = [Fraction(0)] * max(top, 1)
-    for ell in range(2 if even else 1, top + 1, 2 if even else 1):
-        z = dim_harm(m, ell)
-        value[ell] = Fraction(z)
-        deriv[ell - 1] = Fraction(z * ell * (ell + m - 1), m)
-    value, deriv = _chebyshev(value, m), _chebyshev(deriv, m + 2)
-    if not even:
-        return value, deriv
-    # divide the odd derivative by u: u T_0(x) = T_1(u) and
-    # u T_k(x) = (T_(2k-1)(u) + T_(2k+1)(u)) / 2, solved from the top
-    odd = deriv[1::2] or [Fraction(0)]
-    quot = [Fraction(0)] * (len(odd) + 1)
-    for k in range(len(odd) - 1, 0, -1):
-        quot[k] = 2 * odd[k] - quot[k + 1]
-    quot[0] = odd[0] - quot[1] / 2
-    return value[::2], quot[:-1]
+    mu = Fraction(m + 1, 2)
+    value = _gegenbauer_chebyshev(t, mu)
+    for k, c in enumerate(_gegenbauer_chebyshev(t - 1, mu)):
+        value[k] += c
+    value[0] -= 1
+    if even:
+        value = value[::2]
+    n = len(value) - 1
+    deriv = [Fraction(0)] * (n + 2)
+    for k in range(n, 0, -1):
+        deriv[k - 1] = deriv[k + 1] + 2 * k * value[k]
+    deriv[0] /= 2
+    deriv = deriv[:max(n, 1)]
+    return value, [4 * d for d in deriv] if even else deriv
 
 
 @lru_cache(maxsize=None)
@@ -151,18 +132,16 @@ def _kernel_coeffs(t, m, even):
 
 
 def _clenshaw(coeffs, x, x2):
-    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence, given x2 = 2 x.
+    """sum_k coeffs[k] T_k(x) by Clenshaw's recurrence, given x2 = 2 x and
+    coeffs a tuple.
 
     b_k = c_k + 2 x b_(k+1) - b_(k+2) from the top down, then
-    c_0 + x b_1 - b_2; three buffers, reused as in _gegenbauer.
+    c_0 + x b_1 - b_2; three buffers, reused as in _gegenbauer. Zeros pad
+    short series to three coefficients, which leaves every bit of finite
+    sums as it is.
     """
+    coeffs += (0.0,) * (3 - len(coeffs))
     n = len(coeffs) - 1
-    if n == 0:
-        return np.full_like(x, coeffs[0])
-    if n == 1:
-        out = x * coeffs[1]
-        out += coeffs[0]
-        return out
     b1 = x2 * coeffs[n]
     b1 += coeffs[n - 1]
     b2 = np.full_like(x, coeffs[n])

@@ -5,6 +5,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -277,21 +278,26 @@ def test_metrics_emits_report(tmp_path, capsys):
     assert "(uncertainty " in capsys.readouterr().out
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # only the covering net draws from scipy.stats.qmc, and it imports it
-    # when it runs; a fresh interpreter shows what `import cxdesign.cli` loads
+def _fresh_python(script):
+    """stdout of script run in a fresh interpreter with src on the path."""
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    script = "import sys, cxdesign.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # only the covering net draws from scipy.stats.qmc, and it imports it
+    # when it runs; a fresh interpreter shows what `import cxdesign.cli` loads
+    script = "import sys, cxdesign.cli; print('scipy.stats' in sys.modules)"
+    assert _fresh_python(script).strip() == "False"
 
 
 def test_map_without_degree_header_exits_two(tmp_path, capsys):
@@ -404,23 +410,31 @@ def test_coincident_points_have_infinite_mesh_ratio(tmp_path, capsys):
     assert "mesh ratio    = inf" in capsys.readouterr().out
 
 
-def test_run_gives_large_blocks_their_own_mapping(capsys):
+def test_run_gives_large_blocks_their_own_mapping():
     # after a 16 MiB block is freed, glibc's own rule would serve the next
-    # 2 MiB block from the heap; run() fixes the threshold at 1 MiB instead
-    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-    if mallinfo2 is None:
+    # 2 MiB block from the heap; run() fixes the threshold at 1 MiB instead.
+    # A fresh interpreter, because free space that earlier tests leave in
+    # this one's heap can serve the block before any mapping is asked for.
+    if getattr(ctypes.CDLL(None), "mallinfo2", None) is None:
         pytest.skip("needs glibc's mallinfo2")
+    script = textwrap.dedent("""\
+        import ctypes
+        import numpy as np
+        from cxdesign.cli import run
 
-    class MallInfo2(ctypes.Structure):
-        _fields_ = [(name, ctypes.c_size_t) for name in (
-            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-            "fsmblks", "uordblks", "fordblks", "keepcost")]
+        class MallInfo2(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
 
-    mallinfo2.restype = MallInfo2
-    assert run(["counts", "--complex-dim", "2", "--degree", "3"]) == 0
-    capsys.readouterr()
-    big = np.ones(1 << 21)
-    del big
-    mapped = mallinfo2().hblkhd
-    block = np.ones(1 << 18)
-    assert mallinfo2().hblkhd - mapped >= block.nbytes
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        mallinfo2.restype = MallInfo2
+        assert run(["counts", "--complex-dim", "2", "--degree", "3"]) == 0
+        big = np.ones(1 << 21)
+        del big
+        mapped = mallinfo2().hblkhd
+        block = np.ones(1 << 18)
+        print(mallinfo2().hblkhd - mapped, block.nbytes)
+    """)
+    grown, nbytes = map(int, _fresh_python(script).split()[-2:])
+    assert grown >= nbytes

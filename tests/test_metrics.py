@@ -130,14 +130,19 @@ def test_separation_memory_is_bounded_by_the_row_block():
 
 
 def test_sorted_inner_products():
+    # the full Gram's upper triangle, sorted descending; 400 points on S^3
+    # take two Gram row blocks (362 rows fit in one), whose products may
+    # round differently from the one full product
     rng = np.random.default_rng(402)
-    X = RealPointSet(points=random_unit_points(rng, 8, 4))
-    vals = sorted_inner_products(X)
-    gram = X.points @ X.points.T
-    expected = np.sort(gram[np.triu_indices(8, k=1)])[::-1]
-    assert vals.shape == (8 * 7 // 2,)
-    assert np.allclose(vals, expected, atol=1e-15)
-    assert np.all(np.diff(vals) <= 0)
+    for n in (8, 400):
+        X = RealPointSet(points=random_unit_points(rng, n, 4))
+        vals = sorted_inner_products(X)
+        gram = X.points @ X.points.T
+        expected = np.sort(gram[np.triu_indices(n, k=1)])[::-1]
+        assert vals.shape == (n * (n - 1) // 2,)
+        assert np.max(np.abs(vals - expected)) <= 4 * np.finfo(float).eps
+        assert np.all(np.diff(vals) <= 0)
+    assert len(sphere._row_slices(n, 8 * n)) > 1
 
 
 def test_covering_tight_families_hit_analytic_values():

@@ -63,6 +63,9 @@ def test_lower_bound_known_values():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(t=0, m=3, N=8)
+    # the kernel and the verdict need S^m with m >= 2
+    with pytest.raises(ValueError, match="m >= 2"):
+        OptimizerConfig(t=3, m=1, N=6)
     with pytest.raises(ValueError):
         OptimizerConfig(t=3, m=3, N=9, symmetric=True)  # odd N
     with pytest.raises(ValueError):

@@ -224,13 +224,19 @@ def _chebyshev_exact(coeffs, x):
 
 
 def test_chebyshev_coefficients_are_exact():
-    # before rounding, the Chebyshev form is the Gegenbauer series itself
-    points = [Fraction(-1), Fraction(-2, 3), Fraction(-1, 7), Fraction(0),
-              Fraction(1, 3), Fraction(5, 8), Fraction(1)]
-    for m in (3, 5):
-        for t in (1, 2, 3, 4, 5, 8):
+    # before rounding, the closed-form Chebyshev series is the Gegenbauer
+    # series itself, and its derivative the series on S^(m+2): exact
+    # equality is what keeps every rounded coefficient, and so every bit of
+    # the kernel, independent of the route to the coefficients. Both sides
+    # are polynomials of degree at most t in u, so agreement on t + 2
+    # distinct points is equality.
+    for m in (2, 3, 5, 7, 13):
+        for t in (*range(1, 14), 31):
+            points = [Fraction(2 * k, t + 1) - 1 for k in range(t + 2)]
             for even in (False, True):
                 value, deriv = orthopoly._kernel_chebyshev(t, m, even)
+                assert len(value) == (t // 2 if even else t) + 1
+                assert len(deriv) == max(len(value) - 1, 1)
                 for u in points:
                     x = 2 * u * u - 1 if even else u
                     ref_value, ref_deriv = _kernel_exact(t, m, even, u)
@@ -269,6 +275,19 @@ def test_kernel_checks_its_own_domain():
     assert zonal_psi(7, 3, 1 + 1e-12) == zonal_psi(7, 3, 1.0)
     with pytest.raises(ValueError, match="outside"):
         zonal_psi(7, 3, 1 + 2e-9)
+    # NaN is outside too, alone or among valid arguments, for every entry
+    # point; t = 1 even is the zero kernel, whose value need not read u
+    for kernel in (ZonalKernel(1, 3, symmetric_variant=True), ZonalKernel(7, 3),
+                   ZonalKernel(7, 3, symmetric_variant=True)):
+        for u in (np.array([np.nan]), np.array([0.5, np.nan, -0.5])):
+            with pytest.raises(ValueError, match="outside"):
+                kernel(u)
+    for call in (lambda: zonal_psi(5, 3, np.nan),
+                 lambda: zonal_psi(5, 3, np.array([0.0, np.nan])),
+                 lambda: legendre_normalized(3, 3, np.nan),
+                 lambda: legendre_normalized(3, 3, np.array([np.nan, 1.0]))):
+        with pytest.raises(ValueError, match="outside"):
+            call()
 
 
 def test_jacobi_recurrence_accurate_to_degree_100():
